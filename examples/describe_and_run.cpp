@@ -16,6 +16,7 @@
 
 #include "core/Gantt.h"
 #include "core/Scheduler.h"
+#include "flow/Metascheduler.h"
 #include "lang/Parser.h"
 #include "resource/Network.h"
 
@@ -68,8 +69,11 @@ int main(int Argc, char **Argv) {
               static_cast<long long>(R.TheJob.deadline()), R.Env.size());
 
   Network Net;
+  // Owner 1 holds the description's busy load; the job plans under its
+  // own id, because the scheduler counts the owner's intervals as free.
   ScheduleResult Schedule =
-      scheduleJob(R.TheJob, R.Env, Net, SchedulerConfig{}, /*Owner=*/1);
+      scheduleJob(R.TheJob, R.Env, Net, SchedulerConfig{},
+                  Metascheduler::ownerOf(R.TheJob.id()));
   if (!Schedule.Feasible) {
     std::printf("the job cannot meet its deadline on the declared nodes\n");
     return 1;

@@ -66,14 +66,13 @@ HeftResult cws::scheduleHeft(const Job &J, const Grid &Env, const Network &Net,
   CWS_CHECK(J.isAcyclic(), "HEFT needs an acyclic job");
   CWS_CHECK(!Env.empty(), "HEFT needs nodes");
 
-  Grid Scratch = Env;
-  CostModel Cost(Scratch);
+  CostModel Cost(Env);
   Tick Release = std::max(Now, J.release());
 
   // Priority order: descending upward rank, ties by task id. Stable
   // against the topological order because ranks strictly decrease along
   // edges.
-  std::vector<double> Rank = upwardRanks(J, Scratch, Net);
+  std::vector<double> Rank = upwardRanks(J, Env, Net);
   std::vector<unsigned> Order(J.taskCount());
   for (unsigned I = 0; I < J.taskCount(); ++I)
     Order[I] = I;
@@ -84,11 +83,12 @@ HeftResult cws::scheduleHeft(const Job &J, const Grid &Env, const Network &Net,
   });
 
   constexpr OwnerId HeftOwner = 0xbeef;
+  const OccupancyView View{Env, Result.Dist, HeftOwner};
   for (unsigned TaskId : Order) {
     unsigned BestNode = 0;
     Tick BestStart = 0;
     Tick BestFinish = std::numeric_limits<Tick>::max();
-    for (const auto &N : Scratch.nodes()) {
+    for (const auto &N : Env.nodes()) {
       Tick Ready = Release;
       for (size_t EdgeIdx : J.inEdges(TaskId)) {
         const DataEdge &E = J.edge(EdgeIdx);
@@ -98,7 +98,7 @@ HeftResult cws::scheduleHeft(const Job &J, const Grid &Env, const Network &Net,
         Ready = std::max(Ready, Src->End + Tr);
       }
       Tick Dur = N.execTicks(J.task(TaskId).RefTicks);
-      Tick Start = N.timeline().earliestFit(Ready, Dur);
+      Tick Start = View.earliestFit(N.id(), Ready, Dur);
       if (Start + Dur < BestFinish) {
         BestFinish = Start + Dur;
         BestStart = Start;
@@ -106,10 +106,8 @@ HeftResult cws::scheduleHeft(const Job &J, const Grid &Env, const Network &Net,
       }
     }
     Tick Dur = BestFinish - BestStart;
-    bool Reserved =
-        Scratch.node(BestNode).timeline().reserve(BestStart, BestFinish,
-                                                  HeftOwner);
-    CWS_CHECK(Reserved, "HEFT placement overlaps");
+    CWS_CHECK(!View.blocker(BestNode, BestStart, BestFinish),
+              "HEFT placement overlaps");
     Tick Inbound = 0;
     for (size_t EdgeIdx : J.inEdges(TaskId)) {
       const DataEdge &E = J.edge(EdgeIdx);

@@ -45,10 +45,10 @@ const char *cws::optimizationBiasName(OptimizationBias Bias) {
   CWS_UNREACHABLE("unknown optimization bias");
 }
 
-ChainAllocator::ChainAllocator(const Job &J, Grid &ScratchGrid,
+ChainAllocator::ChainAllocator(const Job &J, const Grid &Env,
                                DataPolicy &Policy, const CostModel &Cost,
                                const AllocatorPolicy &Params)
-    : J(J), G(ScratchGrid), Policy(Policy), Cost(Cost), Params(Params) {
+    : J(J), G(Env), Policy(Policy), Cost(Cost), Params(Params) {
   CWS_CHECK(!Params.CandidateNodes.empty(),
             "allocation needs at least one candidate node");
   CWS_CHECK(Params.MaxFrontSize >= 2, "front size cap too small");
@@ -135,6 +135,7 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
   const std::vector<unsigned> &Cand = Params.CandidateNodes;
   const size_t K = Chain.size();
   const size_t N = Cand.size();
+  const OccupancyView View{G, Dist, Owner};
 
   // Readiness bumps discovered by the post-DP precedence verification of
   // non-adjacent intra-chain edges (see below).
@@ -152,7 +153,7 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
       Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
                             ExtraReady[0]);
-      Tick Start = Node.timeline().earliestFit(Ready, Dur);
+      Tick Start = View.earliestFit(NodeId, Ready, Dur);
       Tick Finish = Start + Dur;
       if (Finish > latestFinish(TaskId, NodeId, Dist, Deadline))
         continue;
@@ -191,7 +192,7 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
           for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
             const Label &Prev = PrevFront[LabelIdx];
             Tick Ready = std::max(External, Prev.Finish + ChainTr);
-            Tick Start = Node.timeline().earliestFit(Ready, Dur);
+            Tick Start = View.earliestFit(NodeId, Ready, Dur);
             Tick Finish = Start + Dur;
             if (Finish > Lft)
               continue;
@@ -283,11 +284,10 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       continue;
     }
 
-    // --- Finalize: detect collisions, reserve, charge, record replicas.
+    // --- Finalize: detect collisions, place, charge, record replicas.
     for (size_t Pos = 0; Pos < K; ++Pos) {
       unsigned TaskId = Chain[Pos];
       unsigned NodeId = Path[Pos].NodeId;
-      const ProcessorNode &Node = G.node(NodeId);
       Tick Dur = Path[Pos].Finish - Path[Pos].Start;
 
       // Recompute the unconstrained ready time to detect contention.
@@ -306,11 +306,9 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       if (Path[Pos].Start > Ready) {
         // The preferred slot was occupied: a collision, resolved by
         // shifting the task later on the same node.
-        const Interval *Blocking =
-            Node.timeline().firstOverlap(Ready, Ready + Dur);
         Collisions.push_back({TaskId, NodeId,
-                              Blocking ? Blocking->Owner : 0, Ready,
-                              Path[Pos].Start,
+                              View.blocker(NodeId, Ready, Ready + Dur),
+                              Ready, Path[Pos].Start,
                               CollisionResolution::Shifted});
       } else if (Params.Bias == OptimizationBias::Cost) {
         // Check whether a strictly cheaper node was contended: then the
@@ -324,10 +322,9 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
               Cost.nodeCost(NodeId, Dur))
             continue;
           Tick CheapReady = externalReady(TaskId, Other, Dist, Release);
-          const Interval *Blocking =
-              Cheap.timeline().firstOverlap(CheapReady, CheapReady + CheapDur);
-          if (Blocking) {
-            Collisions.push_back({TaskId, Other, Blocking->Owner, CheapReady,
+          if (OwnerId Blocking =
+                  View.blocker(Other, CheapReady, CheapReady + CheapDur)) {
+            Collisions.push_back({TaskId, Other, Blocking, CheapReady,
                                   Path[Pos].Start,
                                   CollisionResolution::Moved});
             break;
@@ -343,9 +340,8 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       double PlaceCost =
           Cost.nodeCost(NodeId, Dur) + Cost.transferCost(ChainBill + Inbound);
 
-      bool Reserved = G.node(NodeId).timeline().reserve(
-          Path[Pos].Start, Path[Pos].Finish, Owner);
-      CWS_CHECK(Reserved, "DP produced an overlapping reservation");
+      CWS_CHECK(!View.blocker(NodeId, Path[Pos].Start, Path[Pos].Finish),
+                "DP produced an overlapping reservation");
       Dist.add({TaskId, NodeId, Path[Pos].Start, Path[Pos].Finish, PlaceCost});
 
       // Record data movements in the policy's replica memory.

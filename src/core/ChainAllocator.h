@@ -60,20 +60,24 @@ struct AllocatorPolicy {
   size_t MaxFrontSize = 8;
 };
 
-/// Allocates critical works into a scratch grid.
+/// Allocates critical works against the live grid, read-only.
 ///
-/// The allocator mutates the grid's timelines (reserving each placement
-/// for the given owner) and the data policy's replica memory; callers
-/// own both and typically operate on copies while generating a strategy.
+/// A job's tentative placements live only in the Distribution being
+/// built: every query layers them over the node timelines, in which the
+/// owner's own intervals count as free (a rebuild or repair replaces
+/// them). The allocator mutates only the distribution and the data
+/// policy's replica memory, both owned by the caller.
 class ChainAllocator {
 public:
-  ChainAllocator(const Job &J, Grid &ScratchGrid, DataPolicy &Policy,
+  ChainAllocator(const Job &J, const Grid &Env, DataPolicy &Policy,
                  const CostModel &Cost, const AllocatorPolicy &Params);
 
-  /// Places every task of \p Work. On success the placements are
-  /// appended to \p Dist, reserved in the grid under \p Owner, and any
-  /// contention is recorded in \p Collisions. Returns false (leaving all
-  /// state untouched) when the chain cannot meet its windows.
+  /// Places every task of \p Work around the placements already in
+  /// \p Dist (earlier critical works, or a repair's pinned survivors)
+  /// and everyone else's load in the grid. On success the placements are
+  /// appended to \p Dist and any contention is recorded in
+  /// \p Collisions. Returns false (leaving all state untouched) when the
+  /// chain cannot meet its windows.
   bool allocate(const CriticalWork &Work, Distribution &Dist, Tick Release,
                 Tick Deadline, OwnerId Owner,
                 std::vector<CollisionRecord> &Collisions);
@@ -123,7 +127,7 @@ private:
   void insertLabel(LabelFront &Front, Label L) const;
 
   const Job &J;
-  Grid &G;
+  const Grid &G;
   DataPolicy &Policy;
   const CostModel &Cost;
   const AllocatorPolicy &Params;

@@ -85,6 +85,33 @@ bool Distribution::fitsGrid(const Grid &G, OwnerId Ignore) const {
   return true;
 }
 
+Tick OccupancyView::earliestFit(unsigned NodeId, Tick NotBefore,
+                                Tick Dur) const {
+  const Timeline &Line = G.node(NodeId).timeline();
+  for (Tick T = NotBefore;;) {
+    T = Line.earliestFit(T, Dur, Owner);
+    Tick Next = T;
+    for (const Placement &P : Dist.placements())
+      if (P.NodeId == NodeId && P.Start < T + Dur && P.End > T)
+        Next = std::max(Next, P.End);
+    if (Next == T)
+      return T;
+    T = Next;
+  }
+}
+
+OwnerId OccupancyView::blocker(unsigned NodeId, Tick B, Tick E) const {
+  const Interval *Live = G.node(NodeId).timeline().firstOverlap(B, E, Owner);
+  Tick OwnBegin = Live ? Live->Begin : E;
+  bool Own = false;
+  for (const Placement &P : Dist.placements())
+    if (P.NodeId == NodeId && P.Start < OwnBegin && P.End > B) {
+      OwnBegin = P.Start;
+      Own = true;
+    }
+  return Own ? Owner : Live ? Live->Owner : 0;
+}
+
 bool Distribution::commit(Grid &G, OwnerId Owner) const {
   for (size_t I = 0; I < Places.size(); ++I) {
     const Placement &P = Places[I];

@@ -88,6 +88,26 @@ private:
   std::vector<Placement> Places;
 };
 
+/// What a job being scheduled sees as busy on a node: the live timelines
+/// of \p G with \p Owner's own intervals counted free (a rebuild or
+/// repair replaces them), plus the job's tentative placements in
+/// \p Dist. Every placement the view admits is free in both sets, so
+/// the two never overlap.
+struct OccupancyView {
+  const Grid &G;
+  const Distribution &Dist;
+  OwnerId Owner;
+
+  /// Earliest T >= NotBefore such that [T, T + Dur) is free on
+  /// \p NodeId: alternates the live fit with the job's own placements on
+  /// that node until the start stops moving.
+  Tick earliestFit(unsigned NodeId, Tick NotBefore, Tick Dur) const;
+
+  /// Owner of the first-beginning interval overlapping [B, E) on
+  /// \p NodeId, live or the job's own; 0 when the range is free.
+  OwnerId blocker(unsigned NodeId, Tick B, Tick E) const;
+};
+
 } // namespace cws
 
 #endif // CWS_CORE_DISTRIBUTION_H

@@ -82,38 +82,19 @@ cws::repairVariantByShift(const Job &Scheduled, const ScheduleVariant &V,
   if (P.End > LatestEnd)
     return std::nullopt;
 
-  // Minimal forward shift of the one placement: same jump-past-blockers
-  // search as minimalFeasibleShift, except blockers are both foreign
-  // busy intervals and sibling placements sharing the node (the plan is
-  // not reserved yet, so the grid cannot rule those out).
-  const Timeline &Line = In.Env.node(P.NodeId).timeline();
-  Tick Delta = 0;
-  bool Fits = false;
-  while (P.End + Delta <= LatestEnd) {
-    Tick Next = Delta;
-    for (const Interval &Busy : Line.intervals()) {
-      if (Busy.Owner == In.Owner || Busy.End <= P.Start + Delta ||
-          Busy.Begin >= P.End + Delta)
-        continue;
-      Next = std::max(Next, Busy.End - P.Start);
-    }
-    for (const Placement &Q : D.placements()) {
-      if (Q.TaskId == P.TaskId || Q.NodeId != P.NodeId ||
-          Q.End <= P.Start + Delta || Q.Start >= P.End + Delta)
-        continue;
-      Next = std::max(Next, Q.End - P.Start);
-    }
-    if (Next == Delta) {
-      Fits = true;
-      break;
-    }
-    CWS_CHECK(Next > Delta, "single-slot shift made no progress");
-    Delta = Next;
-  }
+  // Minimal forward shift of the one placement: its earliest fit on the
+  // node, where blockers are both foreign busy intervals and the sibling
+  // placements sharing the node (the plan is not reserved yet, so the
+  // grid cannot rule those out).
+  Distribution Siblings = D;
+  Siblings.remove(P.TaskId);
+  Tick Delta = OccupancyView{In.Env, Siblings, In.Owner}.earliestFit(
+                   P.NodeId, P.Start, P.End - P.Start) -
+               P.Start;
   // Delta == 0 would mean the placement was never broken; the caller
   // only repairs stale variants, so a zero shift is a scan/repair
   // disagreement worth failing loudly on.
-  if (!Fits || Delta == 0)
+  if (P.End + Delta > LatestEnd || Delta == 0)
     return std::nullopt;
 
   Distribution Fixed;
@@ -207,30 +188,27 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
       In.Config.Kind == StrategyKind::S3 ? In.Config.CoarsePenalty : 0.0;
   Alloc.MaxFrontSize = In.Config.MaxFrontSize;
 
-  // One repair attempt: pin every placement of a kept work in a scratch
-  // copy of the live environment, then re-run the chain DP for the
-  // works in \p Rerun so it routes the re-planned chains around the
-  // pins.
+  // One repair attempt: pin every placement of a kept work in the
+  // distribution, then re-run the chain DP for the works in \p Rerun so
+  // it routes the re-planned chains around the pins.
   auto Attempt =
       [&](const std::vector<bool> &Rerun) -> std::optional<VariantRepair> {
-    Grid Scratch = In.Env;
-    Scratch.releaseOwner(In.Owner);
     Distribution Fixed;
     uint64_t Pinned = 0;
     for (const Placement &Q : D.placements()) {
       if (Rerun[static_cast<size_t>(PhaseOfTask[Q.TaskId])])
         continue;
-      if (!Scratch.node(Q.NodeId).timeline().reserve(Q.Start, Q.End,
-                                                     In.Owner))
-      return std::nullopt;
+      if (!In.Env.node(Q.NodeId).timeline().isFreeFor(Q.Start, Q.End,
+                                                      In.Owner))
+        return std::nullopt;
       Fixed.add(Q);
       ++Pinned;
     }
 
     DataPolicy Policy(strategyDataPolicy(In.Config.Kind), In.Net,
                       In.Config.DataConfig);
-    CostModel Cost(Scratch, In.Config.Costs);
-    ChainAllocator Allocator(Scheduled, Scratch, Policy, Cost, Alloc);
+    CostModel Cost(In.Env, In.Config.Costs);
+    ChainAllocator Allocator(Scheduled, In.Env, Policy, Cost, Alloc);
     Tick Release = std::max(In.Now, Scheduled.release());
 
     ScheduleResult Out;

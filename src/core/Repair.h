@@ -21,8 +21,8 @@
 ///    optimum.
 ///  - **stage 2** (`repairVariantByDp`): re-run the chain DP
 ///    (`ChainAllocator`) for only the critical works whose placements
-///    were invalidated, pinning every surviving placement as fixed
-///    occupancy in a scratch grid.
+///    were invalidated, pinning every surviving placement in the
+///    distribution the DP routes around.
 ///  - **stage 3** is the full `Strategy::build` rebuild; the
 ///    metascheduler escalates to it when both repairs decline.
 ///
@@ -100,9 +100,9 @@ std::optional<VariantRepair> repairVariantByShift(const Job &Scheduled,
 /// of its critical works lost a placement, and the phase partition is
 /// clean (collision repair during the original build may re-extract a
 /// task into a later work; such variants escalate to the rebuild). The
-/// surviving works' placements are reserved in a scratch grid and the
-/// broken works re-run through `ChainAllocator` under the variant's
-/// level candidates and bias.
+/// surviving works' placements are pinned in the repaired distribution
+/// and the broken works re-run through `ChainAllocator` against the
+/// live grid, under the variant's level candidates and bias.
 std::optional<VariantRepair> repairVariantByDp(const Job &Scheduled,
                                                const ScheduleVariant &V,
                                                const RepairInputs &In);

@@ -52,16 +52,15 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
   }
   CWS_CHECK(J.isAcyclic(), "compound jobs must be acyclic");
 
-  Grid Scratch = Env;
   DataPolicy Policy(Config.DataKind, Net, Config.DataConfig);
-  CostModel Cost(Scratch, Config.Costs);
+  CostModel Cost(Env, Config.Costs);
 
   AllocatorPolicy Alloc = Config.Alloc;
   if (Alloc.CandidateNodes.empty())
-    for (const auto &N : Scratch.nodes())
+    for (const auto &N : Env.nodes())
       Alloc.CandidateNodes.push_back(N.id());
 
-  ChainAllocator Allocator(J, Scratch, Policy, Cost, Alloc);
+  ChainAllocator Allocator(J, Env, Policy, Cost, Alloc);
 
   Tick Release = std::max(Now, J.release());
   std::vector<bool> Assigned(J.taskCount(), false);
@@ -130,9 +129,6 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
     for (unsigned Blocked : Blockers) {
       std::optional<Placement> P = Result.Dist.remove(Blocked);
       CWS_CHECK(P, "blocker vanished from the distribution");
-      bool Released =
-          Scratch.node(P->NodeId).timeline().release(P->Start, P->End, Owner);
-      CWS_CHECK(Released, "blocker had no reservation");
       Assigned[Blocked] = false;
       ++Remaining;
       Result.Collisions.push_back({Blocked, P->NodeId, Owner, P->Start,

@@ -55,10 +55,12 @@ struct ScheduleResult {
   std::vector<CriticalWork> Phases;
 };
 
-/// Runs the critical works method for \p J against a *copy* of \p Env
-/// (the real environment is never mutated; committing the resulting
-/// distribution is the caller's decision). \p Now is the earliest
-/// allowed start (the scheduling moment); reservations are placed within
+/// Runs the critical works method for \p J against \p Env, read-only:
+/// the tentative placements live only in the result's distribution, and
+/// committing it is the caller's decision. Intervals of \p Owner in
+/// \p Env count as free (a rebuild replaces them), so \p Owner must not
+/// be an id that foreign load also holds. \p Now is the earliest allowed
+/// start (the scheduling moment); reservations are placed within
 /// [max(Now, J.release()), J.deadline()]. When
 /// \p Config.Alloc.CandidateNodes is empty every node of \p Env is a
 /// candidate.

@@ -139,8 +139,8 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
       Covered.push_back(I);
 
   // One build task per covered (level, bias) pair. Each task runs
-  // scheduleJob on its own scratch state (the scheduler copies the
-  // environment and owns its data policy and cost model), so the set is
+  // scheduleJob against the shared read-only environment with its own
+  // distribution, data policy and cost model, so the set is
   // embarrassingly parallel — the paper's strategy is precisely a set
   // of *independent* supporting schedules, one per environment event.
   struct VariantTask {

@@ -68,9 +68,9 @@ struct StrategyConfig {
   /// Worker lanes Strategy::build fans variants out over. 0 resolves to
   /// `ThreadPool::defaultThreads()` (the CWS_BUILD_THREADS environment
   /// variable, else hardware concurrency); 1 builds serially on the
-  /// calling thread. Variants are merged in (level, bias) order onto
-  /// per-variant scratch state, so the result is identical at any
-  /// thread count.
+  /// calling thread. Each variant owns its distribution, data policy
+  /// and cost model, and variants are merged in (level, bias) order, so
+  /// the result is identical at any thread count.
   size_t BuildThreads = 0;
   /// When non-empty, restrict scheduling to these node ids (a domain of
   /// the hierarchical framework). Estimation levels are derived from
@@ -94,8 +94,11 @@ struct ScheduleVariant {
 class Strategy {
 public:
   /// Generates the strategy of \p Config.Kind for \p J against the load
-  /// state of \p Env at time \p Now. Every variant is built on its own
-  /// copy of \p Env; the environment is not mutated.
+  /// state of \p Env at time \p Now. Every variant reads \p Env
+  /// without mutating it (build lanes share it) and keeps its tentative
+  /// placements in its own distribution. Intervals of \p Owner count as
+  /// free, so rebuilding a committed job plans around everyone else's
+  /// load only.
   static Strategy build(const Job &J, const Grid &Env, const Network &Net,
                         const StrategyConfig &Config, OwnerId Owner,
                         Tick Now = 0);

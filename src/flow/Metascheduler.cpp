@@ -185,12 +185,11 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   }
 
   // Stage 3 (and the whole of rebuild mode): full rebuild,
-  // build-then-swap — the job's reservations are released only once an
-  // admissible replacement exists, so a failed rebuild leaves the old
-  // strategy's state intact for the caller's rejection path.
-  Grid Scratch = Env;
-  Scratch.releaseOwner(Owner);
-  Out.S = Strategy::build(J, Scratch, Net, Config, Owner, Now);
+  // build-then-swap — the build counts the job's own reservations as
+  // free, and they are released only once an admissible replacement
+  // exists, so a failed rebuild leaves the old strategy's state intact
+  // for the caller's rejection path.
+  Out.S = Strategy::build(J, Env, Net, Config, Owner, Now);
   if (Out.S.admissible()) {
     Out.Stage = RepairStage::Rebuild;
     M.Rebuilt.add();
@@ -212,14 +211,13 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
 void Metascheduler::checkRepairOracle(const Job &J, const Strategy &Repaired,
                                       unsigned UserId, OwnerId Owner,
                                       Tick Now) {
-  // The reference rebuild must not perturb the run: the grid is copied
-  // and the journal events of the build are swallowed by a throwaway
-  // capture buffer (metric counters still tick — they are advisory).
+  // The reference rebuild must not perturb the run: the build reads the
+  // grid without mutating it, and its journal events are swallowed by a
+  // throwaway capture buffer (metric counters still tick — they are
+  // advisory).
   obs::JournalBuffer Discard;
   obs::JournalCaptureScope Swallow(obs::Journal::global(), &Discard);
-  Grid Scratch = Env;
-  Scratch.releaseOwner(Owner);
-  Strategy Rebuilt = Strategy::build(J, Scratch, Net, Config, Owner, Now);
+  Strategy Rebuilt = Strategy::build(J, Env, Net, Config, Owner, Now);
 
   Oracle.Checked++;
   const ScheduleVariant *Best = Repaired.bestByCost();

@@ -8,6 +8,7 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -221,38 +222,6 @@ std::vector<JournalEvent> Journal::snapshot() const {
   return Out;
 }
 
-/// Escapes a string for a JSON literal (same contract as the tracer's
-/// exporter: never emit invalid JSON, whatever the input).
-static void appendJsonString(std::string &Out, const char *S) {
-  Out += '"';
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 static void appendInt(std::string &Out, int64_t V) {
   char Buf[24];
   std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
@@ -277,22 +246,22 @@ std::string Journal::jsonl() const {
     Out += ",\"seed\":";
     appendInt(Out, static_cast<int64_t>(P.Seed));
     Out += ",\"config_hash\":";
-    appendJsonString(Out, P.ConfigHash.c_str());
+    Out += '"' + json::escape(P.ConfigHash) + '"';
     Out += ",\"scenario\":";
-    appendJsonString(Out, P.ScenarioId.c_str());
+    Out += '"' + json::escape(P.ScenarioId) + '"';
     if (P.Shards > 0) {
       Out += ",\"shards\":";
       appendInt(Out, P.Shards);
     }
     Out += ",\"cli\":";
-    appendJsonString(Out, P.Cli.c_str());
+    Out += '"' + json::escape(P.Cli) + '"';
   }
   Out += "}\n";
   for (const JournalEvent &E : Events) {
     Out += "{\"id\":";
     appendInt(Out, static_cast<int64_t>(E.Id));
     Out += ",\"kind\":";
-    appendJsonString(Out, journalKindName(E.Kind));
+    Out += '"' + json::escape(journalKindName(E.Kind)) + '"';
     Out += ",\"tick\":";
     appendInt(Out, E.At);
     if (E.JobId >= 0) {
@@ -313,14 +282,14 @@ std::string Journal::jsonl() const {
     }
     if (E.Detail) {
       Out += ",\"detail\":";
-      appendJsonString(Out, E.Detail);
+      Out += '"' + json::escape(E.Detail) + '"';
     }
     if (E.ArgCount > 0) {
       Out += ",\"args\":{";
       for (uint8_t I = 0; I < E.ArgCount; ++I) {
         if (I)
           Out += ",";
-        appendJsonString(Out, E.Args[I].Key ? E.Args[I].Key : "");
+        Out += '"' + json::escape(E.Args[I].Key ? E.Args[I].Key : "") + '"';
         Out += ":";
         appendInt(Out, E.Args[I].Value);
       }
@@ -435,6 +404,9 @@ public:
         break;
       case 'n':
         Out += '\n';
+        break;
+      case 'r':
+        Out += '\r';
         break;
       case 't':
         Out += '\t';

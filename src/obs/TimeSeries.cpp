@@ -8,6 +8,7 @@
 #include "obs/TimeSeries.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -282,37 +283,6 @@ std::vector<std::string> TimeSeries::flowNames() const {
 // Export
 //===----------------------------------------------------------------------===//
 
-/// Escapes a string for a JSON literal (names are identifiers in
-/// practice, but the exporter must never emit invalid JSON).
-static void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 std::string TimeSeries::csv() const {
   std::vector<TimeSeriesFrame> Frames = snapshot();
   std::vector<std::string> Metrics = metricNames();
@@ -358,11 +328,11 @@ std::string TimeSeries::jsonl() const {
     Out += ",\"sample_every\":" + std::to_string(Config.SampleEvery);
     if (Prov.Stamped) {
       Out += ",\"seed\":" + std::to_string(Prov.Seed) + ",\"config_hash\":";
-      appendJsonString(Out, Prov.ConfigHash);
+      Out += '"' + json::escape(Prov.ConfigHash) + '"';
       Out += ",\"scenario\":";
-      appendJsonString(Out, Prov.ScenarioId);
+      Out += '"' + json::escape(Prov.ScenarioId) + '"';
       Out += ",\"cli\":";
-      appendJsonString(Out, Prov.Cli);
+      Out += '"' + json::escape(Prov.Cli) + '"';
     }
   }
   Out += ",\"recorded\":" + std::to_string(recorded()) +
@@ -370,26 +340,26 @@ std::string TimeSeries::jsonl() const {
   for (size_t I = 0; I < Metrics.size(); ++I) {
     if (I)
       Out += ",";
-    appendJsonString(Out, Metrics[I]);
+    Out += '"' + json::escape(Metrics[I]) + '"';
   }
   Out += "],\"flows\":[";
   for (size_t I = 0; I < Flows.size(); ++I) {
     if (I)
       Out += ",";
-    appendJsonString(Out, Flows[I]);
+    Out += '"' + json::escape(Flows[I]) + '"';
   }
   Out += "]}\n";
   for (const TimeSeriesFrame &F : Frames) {
     Out += "{\"seq\":" + std::to_string(F.Seq) +
            ",\"tick\":" + std::to_string(F.At) + ",\"reason\":";
-    appendJsonString(Out, F.Reason ? F.Reason : "");
+    Out += '"' + json::escape(F.Reason ? F.Reason : "") + '"';
     Out += ",\"metrics\":{";
     size_t N = F.Metrics.size() < Metrics.size() ? F.Metrics.size()
                                                  : Metrics.size();
     for (size_t I = 0; I < N; ++I) {
       if (I)
         Out += ",";
-      appendJsonString(Out, Metrics[I]);
+      Out += '"' + json::escape(Metrics[I]) + '"';
       Out += ":" + renderNumber(F.Metrics[I]);
     }
     Out += "},\"nodes\":[";
@@ -461,7 +431,7 @@ std::string TimeSeries::chromeTraceEvents() const {
                                                  : Metrics.size();
     for (size_t I = 0; I < N; ++I) {
       std::string E = "{\"name\":";
-      appendJsonString(E, Metrics[I]);
+      E += '"' + json::escape(Metrics[I]) + '"';
       E += ",\"ph\":\"C\",\"ts\":" + Ts + ",\"pid\":2,\"tid\":0,"
            "\"args\":{\"value\":" + renderNumber(F.Metrics[I]) + "}}";
       Emit(E);
@@ -469,7 +439,7 @@ std::string TimeSeries::chromeTraceEvents() const {
     size_t K = F.Flows.size() < Flows.size() ? F.Flows.size() : Flows.size();
     for (size_t I = 0; I < K; ++I) {
       std::string E = "{\"name\":";
-      appendJsonString(E, "flow " + Flows[I] + " jobs");
+      E += '"' + json::escape("flow " + Flows[I] + " jobs") + '"';
       E += ",\"ph\":\"C\",\"ts\":" + Ts + ",\"pid\":2,\"tid\":1,"
            "\"args\":{\"queued\":" + std::to_string(F.Flows[I].Queued) +
            ",\"in_flight\":" + std::to_string(F.Flows[I].InFlight) + "}}";
@@ -490,7 +460,7 @@ std::string TimeSeries::chromeTraceEvents() const {
   }
   for (const OccupancySlice &S : Slices) {
     std::string E = "{\"name\":";
-    appendJsonString(E, S.Kind ? S.Kind : "other");
+    E += '"' + json::escape(S.Kind ? S.Kind : "other") + '"';
     E += ",\"cat\":\"occupancy\",\"ph\":\"X\",\"ts\":" +
          std::to_string(S.Begin) +
          ",\"dur\":" + std::to_string(S.End - S.Begin) +

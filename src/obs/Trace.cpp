@@ -8,6 +8,7 @@
 #include "obs/Trace.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <cstdio>
@@ -147,38 +148,6 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   return Out;
 }
 
-/// Escapes a string for a JSON literal. Names are plain identifiers in
-/// practice, but the exporter must never emit invalid JSON.
-static void appendJsonString(std::string &Out, const char *S) {
-  Out += '"';
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 std::string Tracer::chromeJson(const std::string &Extra) const {
   std::vector<TraceEvent> Events = snapshot();
   std::string Out = "{\"traceEvents\":[";
@@ -189,9 +158,9 @@ std::string Tracer::chromeJson(const std::string &Extra) const {
       Out += ",";
     First = false;
     Out += "{\"name\":";
-    appendJsonString(Out, E.Name ? E.Name : "");
+    Out += '"' + json::escape(E.Name ? E.Name : "") + '"';
     Out += ",\"cat\":";
-    appendJsonString(Out, E.Category ? E.Category : "");
+    Out += '"' + json::escape(E.Category ? E.Category : "") + '"';
     std::snprintf(Buf, sizeof(Buf),
                   ",\"ph\":\"%c\",\"ts\":%lld,\"pid\":1,\"tid\":%u",
                   static_cast<char>(E.Phase),
@@ -204,7 +173,7 @@ std::string Tracer::chromeJson(const std::string &Extra) const {
       for (uint8_t I = 0; I < E.ArgCount; ++I) {
         if (I)
           Out += ",";
-        appendJsonString(Out, E.Args[I].Key ? E.Args[I].Key : "");
+        Out += '"' + json::escape(E.Args[I].Key ? E.Args[I].Key : "") + '"';
         std::snprintf(Buf, sizeof(Buf), ":%lld",
                       static_cast<long long>(E.Args[I].Value));
         Out += Buf;

@@ -18,32 +18,14 @@ size_t Timeline::lowerBound(Tick T) const {
   return static_cast<size_t>(It - Busy.begin());
 }
 
-bool Timeline::isFree(Tick B, Tick E) const {
+const Interval *Timeline::firstOverlap(Tick B, Tick E, OwnerId Except) const {
   if (B >= E)
-    return true;
-  size_t Idx = lowerBound(B);
-  return Idx == Busy.size() || Busy[Idx].Begin >= E;
-}
-
-bool Timeline::isFreeFor(Tick B, Tick E, OwnerId Except) const {
-  if (B >= E)
-    return true;
-  for (size_t Idx = lowerBound(B); Idx < Busy.size(); ++Idx) {
-    if (Busy[Idx].Begin >= E)
-      break;
+    return nullptr;
+  for (size_t Idx = lowerBound(B); Idx < Busy.size() && Busy[Idx].Begin < E;
+       ++Idx)
     if (Busy[Idx].Owner != Except)
-      return false;
-  }
-  return true;
-}
-
-const Interval *Timeline::firstOverlap(Tick B, Tick E) const {
-  if (B >= E)
-    return nullptr;
-  size_t Idx = lowerBound(B);
-  if (Idx == Busy.size() || Busy[Idx].Begin >= E)
-    return nullptr;
-  return &Busy[Idx];
+      return &Busy[Idx];
+  return nullptr;
 }
 
 bool Timeline::reserve(Tick B, Tick E, OwnerId Owner) {
@@ -56,10 +38,12 @@ bool Timeline::reserve(Tick B, Tick E, OwnerId Owner) {
   return true;
 }
 
-Tick Timeline::earliestFit(Tick NotBefore, Tick Dur) const {
+Tick Timeline::earliestFit(Tick NotBefore, Tick Dur, OwnerId Except) const {
   CWS_CHECK(Dur > 0, "earliestFit needs a positive duration");
   Tick Candidate = NotBefore;
   for (size_t Idx = lowerBound(NotBefore); Idx < Busy.size(); ++Idx) {
+    if (Busy[Idx].Owner == Except)
+      continue;
     if (Busy[Idx].Begin >= Candidate + Dur)
       return Candidate;
     Candidate = std::max(Candidate, Busy[Idx].End);
@@ -74,19 +58,6 @@ size_t Timeline::releaseOwner(OwnerId Owner) {
                  [Owner](const Interval &I) { return I.Owner == Owner; }),
              Busy.end());
   return Before - Busy.size();
-}
-
-bool Timeline::release(Tick B, Tick E, OwnerId Owner) {
-  for (size_t Idx = lowerBound(B); Idx < Busy.size(); ++Idx) {
-    if (Busy[Idx].Begin >= E)
-      break;
-    if (Busy[Idx].Begin == B && Busy[Idx].End == E &&
-        Busy[Idx].Owner == Owner) {
-      Busy.erase(Busy.begin() + static_cast<ptrdiff_t>(Idx));
-      return true;
-    }
-  }
-  return false;
 }
 
 Tick Timeline::busyTicks(Tick From, Tick To) const {

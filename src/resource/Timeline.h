@@ -41,27 +41,28 @@ struct Interval {
 class Timeline {
 public:
   /// True when [B, E) overlaps no busy interval. Empty ranges are free.
-  bool isFree(Tick B, Tick E) const;
+  bool isFree(Tick B, Tick E) const { return !firstOverlap(B, E); }
 
   /// Like isFree, but intervals owned by \p Except do not count as busy
   /// (used to re-validate a schedule against everyone else's load).
-  bool isFreeFor(Tick B, Tick E, OwnerId Except) const;
+  bool isFreeFor(Tick B, Tick E, OwnerId Except) const {
+    return !firstOverlap(B, E, Except);
+  }
 
   /// Reserves [B, E) for \p Owner; fails (returns false) on any overlap.
   bool reserve(Tick B, Tick E, OwnerId Owner);
 
-  /// Earliest T >= NotBefore such that [T, T + Dur) is free.
-  Tick earliestFit(Tick NotBefore, Tick Dur) const;
+  /// Earliest T >= NotBefore such that [T, T + Dur) is free. Intervals
+  /// owned by \p Except do not count as busy (0, owned by nobody, skips
+  /// none).
+  Tick earliestFit(Tick NotBefore, Tick Dur, OwnerId Except = 0) const;
 
   /// Removes every interval owned by \p Owner; returns how many.
   size_t releaseOwner(OwnerId Owner);
 
-  /// Removes the exact interval [B, E) of \p Owner; returns false when
-  /// no such reservation exists.
-  bool release(Tick B, Tick E, OwnerId Owner);
-
-  /// First busy interval overlapping [B, E), or nullptr.
-  const Interval *firstOverlap(Tick B, Tick E) const;
+  /// First busy interval overlapping [B, E), or nullptr. Intervals owned
+  /// by \p Except are skipped.
+  const Interval *firstOverlap(Tick B, Tick E, OwnerId Except = 0) const;
 
   /// Busy ticks within [From, To).
   Tick busyTicks(Tick From, Tick To) const;

@@ -16,11 +16,14 @@
 #  5. a config-hash (identity) mismatch is refused with exit 2;
 #  6. the exit-code convention holds on unknown flags / empty filters;
 #  7. cws-sim --profile + cws-report --profile round-trip: the report
-#     renders the phase table and phase.* SLO rules gate on it.
+#     renders the phase table and phase.* SLO rules gate on it;
+#  8. tools/update-baselines.sh copies BENCH_*.json into the baseline
+#     only when cws-bench exits 0 (stub binaries stand in for the tools).
 #
 #===----------------------------------------------------------------------===#
 set -eu
 
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BENCH=$1
 SIM=$2
 REPORT=$3
@@ -134,5 +137,45 @@ STATUS=0
 [ "$STATUS" -eq 1 ] || fail "phase rules without a profile exited $STATUS, expected 1 (fail closed)"
 grep -q "unknown indicator 'phase." "$TMP/noprof.err" \
   || fail "fail-closed breach does not name the phase indicator"
+
+#=== 8. A failing check never becomes a baseline =========================#
+# Stub tools: cws-sim and cws-diff only feed the golden half of the
+# script; the stub cws-bench writes a BENCH file and exits $STUB_RC.
+mkdir -p "$TMP/stub/tools" "$TMP/tree/examples/baseline/bench"
+cat > "$TMP/stub/tools/cws-sim" <<'EOF'
+#!/bin/sh
+while [ $# -gt 0 ]; do
+  case $1 in --journal|--timeseries) : > "$2"; shift ;; esac
+  shift
+done
+EOF
+cat > "$TMP/stub/tools/cws-diff" <<'EOF'
+#!/bin/sh
+echo "0x0  $2"
+EOF
+cat > "$TMP/stub/tools/cws-bench" <<'EOF'
+#!/bin/sh
+while [ $# -gt 0 ]; do
+  [ "$1" = --out ] && OUTDIR=$2
+  shift
+done
+echo "{\"rc\": $STUB_RC}" > "$OUTDIR/BENCH_stub.json"
+exit "$STUB_RC"
+EOF
+chmod +x "$TMP/stub/tools/cws-sim" "$TMP/stub/tools/cws-diff" \
+         "$TMP/stub/tools/cws-bench"
+BASE="$TMP/tree/examples/baseline/bench/BENCH_stub.json"
+echo '{"rc": "committed"}' > "$BASE"
+STATUS=0
+(cd "$TMP/tree" && STUB_RC=1 sh "$ROOT/tools/update-baselines.sh" \
+  "$TMP/stub" > /dev/null 2>&1) || STATUS=$?
+[ "$STATUS" -ne 0 ] || fail "update-baselines accepted a failing cws-bench"
+grep -q '"committed"' "$BASE" \
+  || fail "update-baselines overwrote the baseline with a failing run"
+(cd "$TMP/tree" && STUB_RC=0 sh "$ROOT/tools/update-baselines.sh" \
+  "$TMP/stub" > /dev/null 2>&1) \
+  || fail "update-baselines refused a passing cws-bench"
+grep -q '"rc": 0' "$BASE" \
+  || fail "update-baselines did not copy a passing run into the baseline"
 
 echo "bench smoke ok"

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 using namespace cws;
 
 namespace {
@@ -194,16 +196,49 @@ TEST(ChainAllocator, SwitchPenaltyGluesChain) {
   EXPECT_EQ(F.Dist.find(2)->NodeId, Node);
 }
 
-TEST(ChainAllocator, PlacementsAreReservedForOwner) {
+TEST(ChainAllocator, AllocateLeavesGridUntouchedAndAvoidsOwnPlacements) {
   AllocFixture F;
-  Job J = makeChainJob(100);
-  ASSERT_TRUE(F.allocate(J, wholeChain(J), 0, 100));
-  for (const auto &P : F.Dist.placements()) {
-    const Interval *I =
-        F.G.node(P.NodeId).timeline().firstOverlap(P.Start, P.End);
-    ASSERT_NE(I, nullptr);
-    EXPECT_EQ(I->Owner, 42u);
-  }
+  // One candidate node, so every critical work competes for it.
+  F.Params.CandidateNodes = {0};
+  ASSERT_TRUE(F.G.node(0).timeline().reserve(3, 5, 7));
+  auto Snapshot = [&F] {
+    std::vector<std::tuple<unsigned, Tick, Tick, OwnerId>> All;
+    for (const auto &N : F.G.nodes())
+      for (const Interval &I : N.timeline().intervals())
+        All.emplace_back(N.id(), I.Begin, I.End, I.Owner);
+    return All;
+  };
+  const auto Before = Snapshot();
+  Job J;
+  J.addTask("a", 4, 40);
+  J.addTask("b", 4, 40);
+  J.addTask("c", 4, 40);
+  J.setDeadline(100);
+
+  // a lands after the foreign interval; the grid itself is never
+  // written — the placement lives only in the distribution.
+  ASSERT_TRUE(F.allocate(J, CriticalWork{{0}, 4}, 0, 100));
+  EXPECT_EQ(Snapshot(), Before);
+  const Placement A = *F.Dist.find(0);
+  EXPECT_EQ(A.Start, 5);
+
+  // b fits neither before the foreign interval nor over a: the fit
+  // alternates between the live timeline and the job's own placements.
+  ASSERT_TRUE(F.allocate(J, CriticalWork{{1}, 4}, 0, 100));
+  EXPECT_EQ(Snapshot(), Before);
+  const Placement B = *F.Dist.find(1);
+  EXPECT_EQ(B.NodeId, A.NodeId);
+  EXPECT_TRUE(B.End <= A.Start || B.Start >= A.End);
+  EXPECT_EQ(B.Start, 9);
+
+  // c, released at 5, is blocked first by the job's own placement a:
+  // the collision blames the owner, not the later foreign load.
+  ASSERT_TRUE(F.allocate(J, CriticalWork{{2}, 4}, 5, 100));
+  EXPECT_EQ(Snapshot(), Before);
+  ASSERT_FALSE(F.Collisions.empty());
+  EXPECT_EQ(F.Collisions.back().TaskId, 2u);
+  EXPECT_EQ(F.Collisions.back().BlockingOwner, 42u);
+  expectValidDistribution(J, F.Dist);
 }
 
 TEST(ChainAllocator, EconomicCostIsPositive) {

@@ -179,6 +179,24 @@ TEST_F(JournalTest, JsonlRoundTripPreservesEveryField) {
   EXPECT_EQ(P.byId(99), nullptr);
 }
 
+TEST_F(JournalTest, JsonlRoundTripPreservesEscapedDetail) {
+  // Every character json::escape rewrites must come back unchanged.
+  static const char Detail[] = "q\"b\\n\nr\rt\tc\x01!";
+  Journal &Jn = Journal::global();
+  Jn.enable(8);
+  Jn.append(JournalKind::Reject, 4, 7, {{"k", 1}}, Detail);
+  Jn.disable();
+
+  std::string Text = Jn.jsonl();
+  EXPECT_NE(Text.find("\\r"), std::string::npos);
+  EXPECT_NE(Text.find("\\u0001"), std::string::npos);
+  ParsedJournal P;
+  std::string Error;
+  ASSERT_TRUE(parseJournalJsonl(Text, P, Error)) << Error;
+  ASSERT_EQ(P.Events.size(), 1u);
+  EXPECT_EQ(P.Events[0].Detail, std::string(Detail));
+}
+
 TEST_F(JournalTest, ProvenanceStampRoundTripsThroughTheMetaLine) {
   Journal &Jn = Journal::global();
   Jn.enable(16);

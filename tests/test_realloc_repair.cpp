@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace cws;
 
@@ -82,6 +83,39 @@ std::string voJournal(ReallocationMode Realloc, InvalidationMode Inval,
   std::string Out = Jn.jsonl();
   Jn.reset();
   return Out;
+}
+
+/// Asserts two supporting schedules are identical: level, bias,
+/// feasibility, every placement in order, every collision and the
+/// critical-work phases.
+void expectSameVariant(const ScheduleVariant &A, const ScheduleVariant &B) {
+  EXPECT_EQ(A.Level, B.Level);
+  EXPECT_EQ(A.Bias, B.Bias);
+  EXPECT_EQ(A.feasible(), B.feasible());
+  const auto &PA = A.Result.Dist.placements();
+  const auto &PB = B.Result.Dist.placements();
+  ASSERT_EQ(PA.size(), PB.size());
+  for (size_t I = 0; I < PA.size(); ++I) {
+    EXPECT_EQ(PA[I].TaskId, PB[I].TaskId);
+    EXPECT_EQ(PA[I].NodeId, PB[I].NodeId);
+    EXPECT_EQ(PA[I].Start, PB[I].Start);
+    EXPECT_EQ(PA[I].End, PB[I].End);
+    EXPECT_DOUBLE_EQ(PA[I].EconomicCost, PB[I].EconomicCost);
+  }
+  const auto &CA = A.Result.Collisions;
+  const auto &CB = B.Result.Collisions;
+  ASSERT_EQ(CA.size(), CB.size());
+  for (size_t I = 0; I < CA.size(); ++I) {
+    EXPECT_EQ(CA[I].TaskId, CB[I].TaskId);
+    EXPECT_EQ(CA[I].NodeId, CB[I].NodeId);
+    EXPECT_EQ(CA[I].BlockingOwner, CB[I].BlockingOwner);
+    EXPECT_EQ(CA[I].WantedStart, CB[I].WantedStart);
+    EXPECT_EQ(CA[I].ActualStart, CB[I].ActualStart);
+    EXPECT_EQ(CA[I].Resolution, CB[I].Resolution);
+  }
+  ASSERT_EQ(A.Result.Phases.size(), B.Result.Phases.size());
+  for (size_t I = 0; I < A.Result.Phases.size(); ++I)
+    EXPECT_EQ(A.Result.Phases[I].TaskIds, B.Result.Phases[I].TaskIds);
 }
 
 } // namespace
@@ -204,6 +238,77 @@ TEST_F(ReallocRepairTest, DpRerunsTheBrokenWorkAndPinsSurvivors) {
     EXPECT_EQ(Q->Start, P.Start);
     EXPECT_EQ(Q->End, P.End);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The owner contract: the owner's own intervals count as free
+//===----------------------------------------------------------------------===//
+
+TEST_F(ReallocRepairTest, OwnReservationsCountAsFreeInBuildAndDpRepair) {
+  // Strategy::build and the stage-2 repair read the live grid with the
+  // owner's committed reservations still in it; they must answer exactly
+  // what they answer on a copy released of that owner.
+  constexpr OwnerId Owner = 42;
+  Network Net;
+  Job J = makeFig2Job();
+  size_t Repaired = 0;
+  for (StrategyKind Kind : {StrategyKind::S1, StrategyKind::S3})
+    for (size_t Threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(strategyName(Kind)) + " threads " +
+                   std::to_string(Threads));
+      StrategyConfig Config;
+      Config.Kind = Kind;
+      Config.BuildThreads = Threads;
+      Grid Env = Grid::makeFig2();
+      // Foreign load so the builds see collisions.
+      for (unsigned N = 0; N < Env.size(); N += 2)
+        ASSERT_TRUE(Env.node(N).timeline().reserve(2, 6, Intruder));
+      Strategy S = Strategy::build(J, Env, Net, Config, Owner);
+      const ScheduleVariant *Best = S.bestByCost();
+      ASSERT_NE(Best, nullptr);
+
+      // Commit the last critical work to a foreign owner (breaking it),
+      // every other placement to the owner, then the owner's other
+      // variants wherever they still fit.
+      const CriticalWork &Last = Best->Result.Phases.back();
+      for (const Placement &P : Best->Result.Dist.placements()) {
+        bool Broken = std::find(Last.TaskIds.begin(), Last.TaskIds.end(),
+                                P.TaskId) != Last.TaskIds.end();
+        ASSERT_TRUE(Env.node(P.NodeId).timeline().reserve(
+            P.Start, P.End, Broken ? Intruder : Owner));
+      }
+      for (const ScheduleVariant &V : S.variants())
+        for (const Placement &P : V.Result.Dist.placements())
+          Env.node(P.NodeId).timeline().reserve(P.Start, P.End, Owner);
+
+      Grid Released = Env;
+      Released.releaseOwner(Owner);
+      for (Tick Now : {Tick{0}, Tick{3}}) {
+        Strategy Live = Strategy::build(J, Env, Net, Config, Owner, Now);
+        Strategy Ref = Strategy::build(J, Released, Net, Config, Owner, Now);
+        ASSERT_EQ(Live.variants().size(), Ref.variants().size());
+        for (size_t I = 0; I < Live.variants().size(); ++I)
+          expectSameVariant(Live.variants()[I], Ref.variants()[I]);
+      }
+
+      RepairInputs LiveIn{Env, Net, Config, Owner, /*Now=*/0};
+      RepairInputs RefIn{Released, Net, Config, Owner, /*Now=*/0};
+      for (const ScheduleVariant &V : S.variants()) {
+        std::optional<VariantRepair> A =
+            repairVariantByDp(S.scheduledJob(), V, LiveIn);
+        std::optional<VariantRepair> B =
+            repairVariantByDp(S.scheduledJob(), V, RefIn);
+        ASSERT_EQ(A.has_value(), B.has_value());
+        if (!A)
+          continue;
+        ++Repaired;
+        EXPECT_EQ(A->WorksRerun, B->WorksRerun);
+        EXPECT_EQ(A->PlacementsPinned, B->PlacementsPinned);
+        expectSameVariant(A->Repaired, B->Repaired);
+      }
+    }
+  // The contract must have been exercised, not vacuously met.
+  EXPECT_GT(Repaired, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -80,24 +80,20 @@ TEST(Timeline, ReleaseOwnerRemovesAll) {
   EXPECT_EQ(T.releaseOwner(1), 0u);
 }
 
-TEST(Timeline, ReleaseExactInterval) {
-  Timeline T;
-  T.reserve(0, 5, 1);
-  T.reserve(10, 15, 1);
-  EXPECT_FALSE(T.release(0, 5, 2));  // Wrong owner.
-  EXPECT_FALSE(T.release(0, 4, 1));  // Wrong bounds.
-  EXPECT_TRUE(T.release(0, 5, 1));
-  EXPECT_TRUE(T.isFree(0, 5));
-  EXPECT_FALSE(T.isFree(10, 15));
-}
-
-TEST(Timeline, IsFreeForIgnoresOwner) {
+TEST(Timeline, QueriesIgnoreExceptOwner) {
   Timeline T;
   T.reserve(10, 20, 5);
   T.reserve(30, 40, 6);
   EXPECT_TRUE(T.isFreeFor(10, 20, 5));
   EXPECT_FALSE(T.isFreeFor(10, 20, 6));
   EXPECT_FALSE(T.isFreeFor(15, 35, 5)); // Overlaps owner 6 too.
+  // Owner 5's interval counts as free; owner 6's still blocks.
+  EXPECT_EQ(T.earliestFit(12, 5), 20);
+  EXPECT_EQ(T.earliestFit(12, 5, 5), 12);
+  EXPECT_EQ(T.earliestFit(12, 20, 5), 40);
+  EXPECT_EQ(T.firstOverlap(15, 35)->Owner, 5u);
+  EXPECT_EQ(T.firstOverlap(15, 35, 5)->Owner, 6u);
+  EXPECT_EQ(T.firstOverlap(15, 25, 5), nullptr);
 }
 
 TEST(Timeline, BusyTicksAndUtilization) {

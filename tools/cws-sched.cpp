@@ -24,6 +24,7 @@
 #include "core/Dot.h"
 #include "core/Gantt.h"
 #include "core/Strategy.h"
+#include "flow/Metascheduler.h"
 #include "lang/Parser.h"
 #include "metrics/Export.h"
 #include "obs/Journal.h"
@@ -200,8 +201,10 @@ int main(int Argc, char **Argv) {
   obs::Profiler::global().setProvenance(Prov);
 
   Network Net;
-  Strategy S = Strategy::build(R.TheJob, Env, Net, Config, /*Owner=*/1,
-                               Now);
+  // The description's busy load is held by owner 1, so the job plans
+  // under its own id: the build counts the owner's intervals as free.
+  Strategy S = Strategy::build(R.TheJob, Env, Net, Config,
+                               Metascheduler::ownerOf(R.TheJob.id()), Now);
 
   // A one-shot build has no simulator clock driving periodic frames;
   // record a single post-build frame so the probes still export.

@@ -61,8 +61,20 @@ echo "update-baselines: wrote $OUT/{example.journal.jsonl,example.ts.csv,MANIFES
        "build first (cmake --build $BUILD -j)" >&2
   exit 2
 }
+# Stage the run and copy it in only when every check passed: a failing
+# check must never become the baseline the ratchet compares against.
+STAGE=$(mktemp -d)
+trap 'rm -rf "$STAGE"' EXIT
+STATUS=0
 CWS_BUILD_THREADS=1 CWS_SHARDS=1 \
-  "$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$OUT/bench" \
-  > /dev/null
+  "$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$STAGE" \
+  > /dev/null || STATUS=$?
+if [ "$STATUS" -ne 0 ]; then
+  echo "update-baselines: cws-bench exited $STATUS (a check failed);" \
+       "$OUT/bench left unchanged" >&2
+  exit 1
+fi
+mkdir -p "$OUT/bench"
+cp "$STAGE"/BENCH_*.json "$OUT/bench/"
 
 echo "update-baselines: wrote $OUT/bench/BENCH_*.json"
