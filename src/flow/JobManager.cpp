@@ -421,7 +421,7 @@ void JobManager::runExecution(ActiveJob &A, const Distribution &D,
   ExecutionConfig Config = Exec;
   Config.DataKind = strategyDataPolicy(A.S.kind());
   // Derive the job's deviation stream from (seed base, job id): the
-  // deviations a job sees are then identical at any shard count and
+  // deviations a job sees are then identical at any lane count and
   // independent of the order commits drained in.
   Prng JobRng(ExecSeed ^
               ((static_cast<uint64_t>(A.TheJob.id()) + 1) *
@@ -544,7 +544,7 @@ void JobManager::onEnvironmentChange(Tick Now) {
     EM.IndexPlacements.add(Placements);
     // The env.invalidate *scope* opens once per change on the caller
     // (flow/VirtualOrganization.cpp); the work fans out per manager,
-    // so it is attributed by name and sums shard-invariantly.
+    // so it is attributed by name and sums lane-invariantly.
     obs::Profiler::global().addWork("env.invalidate", "placements",
                                     Placements);
     return;

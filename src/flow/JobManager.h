@@ -101,7 +101,7 @@ public:
   /// schedule is run through the execution engine and its actual
   /// completion (or wall-limit kill) recorded. Each job's deviations
   /// draw from a Prng derived from (\p SeedBase, job id), so they are
-  /// identical at any shard count and independent of commit order.
+  /// identical at any lane count and independent of commit order.
   void enableExecution(const ExecutionConfig &Config, uint64_t SeedBase) {
     Exec = Config;
     ExecSeed = SeedBase;
@@ -232,7 +232,7 @@ private:
   /// strategies, for intersection with environment changes.
   SlotIndex Index;
   /// This manager's cursor into the metascheduler's env-change log
-  /// (sharded runs: one cursor per (flow, shard) manager).
+  /// (multi-flow runs: one cursor per flow's manager).
   EnvLogCursor LogCursor;
 };
 

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -32,14 +31,15 @@ using namespace cws;
 
 namespace {
 
-/// Shard-pipeline instrumentation (docs/OBSERVABILITY.md). Registered
-/// once; values reset with the registry. The drain-latency histogram is
-/// wall-clock and therefore nondeterministic — it is exposed for the
-/// scaling bench and never byte-compared (the telemetry CSV samples an
-/// explicit probe list that excludes it).
-struct ShardPipelineMetrics {
+/// Batched-pipeline instrumentation (docs/OBSERVABILITY.md). The
+/// `cws_shard_*` names stay stable because benchmarks read them.
+/// Registered once; values reset with the registry. The drain-latency
+/// histogram is wall-clock and therefore nondeterministic — it is
+/// exposed for the scaling bench and never byte-compared (the telemetry
+/// CSV samples an explicit probe list that excludes it).
+struct PipelineMetrics {
   obs::Gauge &Count = obs::Registry::global().gauge(
-      "cws_shard_count", "worker shards of the job-flow level");
+      "cws_shard_count", "worker lanes of the job-flow level");
   obs::Counter &AdmissionBatches = obs::Registry::global().counter(
       "cws_shard_admission_batches_total",
       "per-tick admission batches drained");
@@ -63,8 +63,8 @@ struct ShardPipelineMetrics {
       "wall-clock microseconds per commit-pipeline drain");
 };
 
-ShardPipelineMetrics &shardMetrics() {
-  static ShardPipelineMetrics M;
+PipelineMetrics &pipelineMetrics() {
+  static PipelineMetrics M;
   return M;
 }
 
@@ -90,21 +90,17 @@ cws::runMultiFlowVo(const VoConfig &Config,
                     const std::vector<StrategyKind> &Kinds, uint64_t Seed) {
   CWS_CHECK(!Kinds.empty(), "need at least one flow");
   const size_t NumFlows = Kinds.size();
-  const size_t ShardCount = resolveShardCount(Config.Shards);
+  const size_t Lanes = resolveShardCount(Config.Shards);
   Prng Root(Seed);
   Grid Env = Grid::makeRandom(Config.GridCfg, Root);
   Network Net;
   Economy Econ;
 
-  // One metascheduler strategy profile and one quota account per flow;
-  // ShardCount job managers per flow (Managers[F * ShardCount + S]),
-  // each owning the stripe of job ids congruent to its shard index
-  // (Metascheduler::shardOfJob) — owner ids themselves stay pure in the
-  // job id, so journals and timelines cannot see the shard count. The
-  // env-change log is shared: commits by any flow and background
-  // placements both occupy slots that other flows' open strategies may
-  // have planned on, and each (flow, shard) manager drains the log with
-  // its own cursor.
+  // One metascheduler strategy profile, one quota account and one job
+  // manager per flow (Fig. 1). The env-change log is shared: commits by
+  // any flow and background placements both occupy slots that other
+  // flows' open strategies may have planned on, and each flow's manager
+  // drains the log with its own cursor.
   EnvChangeLog ChangeLog;
   std::vector<std::unique_ptr<Metascheduler>> Metas;
   std::vector<std::unique_ptr<JobManager>> Managers;
@@ -116,31 +112,17 @@ cws::runMultiFlowVo(const VoConfig &Config,
     Metas.back()->setEnvChangeLog(&ChangeLog);
     Metas.back()->setReallocationMode(Config.Reallocation);
     Metas.back()->setRepairOracle(Config.RepairOracle);
-    for (size_t S = 0; S < ShardCount; ++S) {
-      Managers.push_back(std::make_unique<JobManager>(
-          *Metas.back(), User, static_cast<int>(F)));
-      Managers.back()->setInvalidationMode(Config.Invalidation);
-    }
+    Managers.push_back(std::make_unique<JobManager>(*Metas.back(), User,
+                                                    static_cast<int>(F)));
+    Managers.back()->setInvalidationMode(Config.Invalidation);
   }
-  // Commit charges drain through per-shard ledgers folded at each tick
-  // barrier, so the economy's float accumulation order is canonical
-  // (ascending job id) at any shard count.
-  Econ.beginLedgers(ShardCount);
-  ShardPipelineMetrics &SM = shardMetrics();
-  SM.Count.set(static_cast<int64_t>(ShardCount));
+  PipelineMetrics &SM = pipelineMetrics();
+  SM.Count.set(static_cast<int64_t>(Lanes));
 
   Simulator Sim;
   if (Config.ExecuteWithDeviations)
-    for (size_t F = 0; F < NumFlows; ++F) {
-      // One fork per *flow* (not per shard manager) keeps the root
-      // stream's draw count — and thus every downstream seed — equal at
-      // any shard count; the per-job seed derivation inside the
-      // managers does the rest.
-      uint64_t ExecSeed = Root.fork().next();
-      for (size_t S = 0; S < ShardCount; ++S)
-        Managers[F * ShardCount + S]->enableExecution(Config.Execution,
-                                                      ExecSeed);
-    }
+    for (size_t F = 0; F < NumFlows; ++F)
+      Managers[F]->enableExecution(Config.Execution, Root.fork().next());
   Prng ArrivalRng = Root.fork();
   Prng NegotiationRng = Root.fork();
   Prng BackgroundRng = Root.fork();
@@ -163,32 +145,27 @@ cws::runMultiFlowVo(const VoConfig &Config,
   Tick BackgroundUntil = LastArrival + 600;
   BackgroundLoad Background(Env, Sim, Config.Background, BackgroundRng);
   Background.setEnvChangeLog(&ChangeLog);
-  // Every (flow, shard) manager runs its invalidation pass in parallel
-  // (one lane per shard), journaling into a per-manager capture buffer;
-  // the buffers are replayed flow-major, merged by ascending job id
-  // within each flow — exactly the order a serial 1-shard pass appends
-  // in, so the journal is byte-identical at any shard count.
-  Background.setObserver([&Managers, NumFlows, ShardCount](Tick Now) {
+  // Every flow's manager runs its invalidation pass in parallel,
+  // journaling into a per-flow capture buffer; each pass journals in
+  // ascending job id, and the buffers are replayed flow-major — exactly
+  // the order a serial pass appends in, so the journal is byte-identical
+  // at any lane count.
+  Background.setObserver([&Managers, Lanes](Tick Now) {
     // One profiler scope per environment change on the calling thread;
     // the per-manager re-validation work joins it by name from the
-    // worker lanes, so counts and work stay shard-invariant.
+    // worker lanes, so counts and work stay lane-invariant.
     CWS_PHASE("env.invalidate");
     obs::Journal &Jn = obs::Journal::global();
     std::vector<obs::JournalBuffer> Buffers(Managers.size());
     ThreadPool::global().parallelFor(
         Managers.size(),
-        [&](size_t I) {
-          obs::JournalCaptureScope Capture(Jn, &Buffers[I]);
-          Managers[I]->onEnvironmentChange(Now);
+        [&](size_t F) {
+          obs::JournalCaptureScope Capture(Jn, &Buffers[F]);
+          Managers[F]->onEnvironmentChange(Now);
         },
-        /*MaxLanes=*/ShardCount);
-    for (size_t F = 0; F < NumFlows; ++F) {
-      std::vector<obs::JournalBuffer *> FlowBuffers;
-      FlowBuffers.reserve(ShardCount);
-      for (size_t S = 0; S < ShardCount; ++S)
-        FlowBuffers.push_back(&Buffers[F * ShardCount + S]);
-      Jn.appendBufferedByJob(FlowBuffers);
-    }
+        /*MaxLanes=*/Lanes);
+    for (obs::JournalBuffer &Buf : Buffers)
+      Jn.appendBuffered(Buf);
   });
   Background.start(BackgroundUntil);
 
@@ -209,35 +186,12 @@ cws::runMultiFlowVo(const VoConfig &Config,
         }
       FlowNames.push_back(std::move(Label));
     }
-    // Sharded runs also expose one pseudo-flow track per shard (the
-    // same totals sliced the other way); single-shard runs emit the
-    // flow tracks alone, so the default telemetry CSV is byte-stable.
-    if (ShardCount > 1)
-      for (size_t S = 0; S < ShardCount; ++S)
-        FlowNames.push_back("shard" + std::to_string(S));
-    Ts.setFlowProvider(std::move(FlowNames), [&Managers, NumFlows,
-                                              ShardCount] {
+    Ts.setFlowProvider(std::move(FlowNames), [&Managers] {
       std::vector<obs::FlowSample> Out;
-      Out.reserve(NumFlows + (ShardCount > 1 ? ShardCount : 0));
-      for (size_t F = 0; F < NumFlows; ++F) {
-        int64_t Queued = 0, InFlight = 0;
-        for (size_t S = 0; S < ShardCount; ++S) {
-          const JobManager &M = *Managers[F * ShardCount + S];
-          Queued += static_cast<int64_t>(M.queuedCount());
-          InFlight += static_cast<int64_t>(M.inFlightCount());
-        }
-        Out.push_back({Queued, InFlight});
-      }
-      if (ShardCount > 1)
-        for (size_t S = 0; S < ShardCount; ++S) {
-          int64_t Queued = 0, InFlight = 0;
-          for (size_t F = 0; F < NumFlows; ++F) {
-            const JobManager &M = *Managers[F * ShardCount + S];
-            Queued += static_cast<int64_t>(M.queuedCount());
-            InFlight += static_cast<int64_t>(M.inFlightCount());
-          }
-          Out.push_back({Queued, InFlight});
-        }
+      Out.reserve(Managers.size());
+      for (const auto &M : Managers)
+        Out.push_back({static_cast<int64_t>(M->queuedCount()),
+                       static_cast<int64_t>(M->inFlightCount())});
       return Out;
     });
     const Tick Lookahead = Ts.config().ReservedLookahead;
@@ -264,22 +218,22 @@ cws::runMultiFlowVo(const VoConfig &Config,
     });
   }
 
-  // Deal jobs to the flows round-robin and to shard managers by job
-  // id. Arrival and negotiation events only *enqueue* work; the first
-  // enqueue of a tick arms one end-of-tick drain that processes the
-  // whole tick's batch — the expensive halves (strategy builds, tender
-  // evaluation) run in parallel across shards against the tick-start
-  // snapshot, the mutating halves apply serially in canonical ascending
-  // job-id order. The batched pipeline is the semantics at *every*
-  // shard count, 1 included: that is what makes journals, stats and
-  // timelines independent of the shard count and thread interleaving.
+  // Deal jobs to the flows round-robin. Arrival and negotiation events
+  // only *enqueue* work; the first enqueue of a tick arms one
+  // end-of-tick drain that processes the whole tick's batch — the
+  // expensive halves (strategy builds, tender evaluation) run in
+  // parallel lanes against the tick-start snapshot, the mutating halves
+  // apply serially in canonical ascending job-id order. The batched
+  // pipeline is the semantics at *every* lane count, 1 included: that is
+  // what makes journals, stats and timelines independent of the lane
+  // count and thread interleaving.
   struct PendingArrival {
-    size_t ManagerIdx;
+    size_t FlowIdx;
     const Job *J;
     Tick Delay;
   };
   struct PendingNegotiation {
-    size_t ManagerIdx;
+    size_t FlowIdx;
     unsigned JobId;
   };
   std::vector<PendingArrival> ArrivalBatch;
@@ -298,8 +252,8 @@ cws::runMultiFlowVo(const VoConfig &Config,
     // this same tick and must re-arm a fresh drain behind itself.
     DrainArmed = false;
     // Admission: sort the tick's arrivals into canonical order, build
-    // every strategy in parallel (one lane per shard, journal events
-    // captured per job), then admit serially in ascending job id.
+    // every strategy in parallel (journal events captured per job), then
+    // admit serially in ascending job id.
     if (!ArrivalBatch.empty()) {
       obs::PhaseScope AdmissionPhase("meta.admission");
       std::vector<PendingArrival> Batch;
@@ -317,20 +271,19 @@ cws::runMultiFlowVo(const VoConfig &Config,
       Pool.submitRange(
           0, Batch.size(),
           [&](size_t I) {
-            Prepared[I].emplace(Managers[Batch[I].ManagerIdx]->prepareArrival(
-                *Batch[I].J, Now));
+            Prepared[I].emplace(
+                Managers[Batch[I].FlowIdx]->prepareArrival(*Batch[I].J, Now));
           },
-          /*MaxLanes=*/ShardCount);
+          /*MaxLanes=*/Lanes);
       for (size_t I = 0; I < Batch.size(); ++I) {
         const PendingArrival &PA = Batch[I];
-        if (!Managers[PA.ManagerIdx]->finishArrival(std::move(*Prepared[I]),
-                                                    Now))
+        if (!Managers[PA.FlowIdx]->finishArrival(std::move(*Prepared[I]), Now))
           continue;
-        size_t ManagerIdx = PA.ManagerIdx;
+        size_t FlowIdx = PA.FlowIdx;
         unsigned JobId = PA.J->id();
-        Sim.after(PA.Delay, [&NegotiationBatch, &Arm, ManagerIdx,
+        Sim.after(PA.Delay, [&NegotiationBatch, &Arm, FlowIdx,
                              JobId](Tick NegotiationNow) {
-          NegotiationBatch.push_back({ManagerIdx, JobId});
+          NegotiationBatch.push_back({FlowIdx, JobId});
           Arm(NegotiationNow);
         });
       }
@@ -338,7 +291,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
     // Commit pipeline: evaluate every tender against the tick-start
     // snapshot in parallel, then apply in ascending job id — grid
     // reservations and economy charges land in canonical order
-    // regardless of shard count or thread interleaving.
+    // regardless of lane count or thread interleaving.
     if (!NegotiationBatch.empty()) {
       auto DrainStart = std::chrono::steady_clock::now();
       std::vector<PendingNegotiation> Ready;
@@ -357,31 +310,27 @@ cws::runMultiFlowVo(const VoConfig &Config,
         Pool.submitRange(
             0, Ready.size(),
             [&](size_t I) {
-              Hints[I] = Managers[Ready[I].ManagerIdx]->prepareNegotiation(
-                  Ready[I].JobId);
+              const PendingNegotiation &PN = Ready[I];
+              Hints[I] = Managers[PN.FlowIdx]->prepareNegotiation(PN.JobId);
             },
-            /*MaxLanes=*/ShardCount);
+            /*MaxLanes=*/Lanes);
       }
       {
         obs::PhaseScope ApplyPhase("commit.apply");
         ApplyPhase.work("tenders", Ready.size());
         for (size_t I = 0; I < Ready.size(); ++I) {
           const PendingNegotiation &PN = Ready[I];
-          Econ.setActiveShard(Metascheduler::shardOfJob(PN.JobId, ShardCount),
-                              PN.JobId);
           std::optional<Tick> Completion =
-              Managers[PN.ManagerIdx]->onNegotiation(PN.JobId, Now, Hints[I]);
+              Managers[PN.FlowIdx]->onNegotiation(PN.JobId, Now, Hints[I]);
           if (Completion) {
-            size_t ManagerIdx = PN.ManagerIdx;
+            size_t FlowIdx = PN.FlowIdx;
             unsigned JobId = PN.JobId;
-            Sim.at(*Completion, [&Managers, ManagerIdx, JobId](Tick CNow) {
-              Managers[ManagerIdx]->onCompletion(JobId, CNow);
+            Sim.at(*Completion, [&Managers, FlowIdx, JobId](Tick CNow) {
+              Managers[FlowIdx]->onCompletion(JobId, CNow);
             });
           }
         }
       }
-      // Tick barrier: fold the per-shard charge ledgers canonically.
-      Econ.mergeLedgers();
       SM.CommitDrainMicros.observe(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - DrainStart)
@@ -396,17 +345,13 @@ cws::runMultiFlowVo(const VoConfig &Config,
     const Job *J = &Flow[I];
     Tick Delay = NegotiationRng.uniformInt(Config.NegotiationLo,
                                            Config.NegotiationHi);
-    size_t ManagerIdx =
-        F * ShardCount + Metascheduler::shardOfJob(J->id(), ShardCount);
-    Sim.at(J->release(),
-           [&ArrivalBatch, &Arm, ManagerIdx, J, Delay](Tick Now) {
-             ArrivalBatch.push_back({ManagerIdx, J, Delay});
-             Arm(Now);
-           });
+    Sim.at(J->release(), [&ArrivalBatch, &Arm, F, J, Delay](Tick Now) {
+      ArrivalBatch.push_back({F, J, Delay});
+      Arm(Now);
+    });
   }
 
   Sim.run();
-  Econ.mergeLedgers();
 
   if (Sampling) {
     // A final frame, then the per-node occupancy tracks: every surviving
@@ -429,20 +374,8 @@ cws::runMultiFlowVo(const VoConfig &Config,
     Results[F].Kind = Kinds[F];
     Results[F].BackgroundJobs = Background.placed();
     Results[F].RepairOracle = Metas[F]->repairOracle();
-    std::vector<VoJobStats> Merged;
-    for (size_t S = 0; S < ShardCount; ++S) {
-      std::vector<VoJobStats> Part = Managers[F * ShardCount + S]->takeStats();
-      Merged.insert(Merged.end(), std::make_move_iterator(Part.begin()),
-                    std::make_move_iterator(Part.end()));
-    }
-    // Each shard records its jobs in admission (ascending id) order;
-    // the flow-level merge restores the canonical order a 1-shard run
-    // produces directly.
-    std::stable_sort(Merged.begin(), Merged.end(),
-                     [](const VoJobStats &A, const VoJobStats &B) {
-                       return A.JobId < B.JobId;
-                     });
-    Results[F].Jobs = std::move(Merged);
+    // Recorded in admission order, which is ascending job id.
+    Results[F].Jobs = Managers[F]->takeStats();
     for (const auto &St : Results[F].Jobs)
       Horizon = std::max(Horizon, St.Completion);
   }
@@ -562,9 +495,9 @@ std::string cws::voConfigCanonical(const VoConfig &Config, StrategyKind Kind) {
   Num("vo.exec_factor_lo", Config.Execution.FactorLo);
   Num("vo.exec_factor_hi", Config.Execution.FactorHi);
   Int("vo.exec_extension", Config.Execution.MaxExtension);
-  // The shard count is deliberately absent, like BuildThreads: results
-  // are shard-invariant (pinned by tests), so two runs of one
-  // configuration at different shard counts must share a hash. The
+  // The lane count (`Shards`) is deliberately absent, like BuildThreads:
+  // results are lane-invariant (pinned by tests), so two runs of one
+  // configuration at different lane counts must share a hash. The
   // resolved count still reaches the provenance stamp as its own
   // `shards` field, which `cws-diff` compares selectively.
   Out += std::string("vo.invalidation=") +

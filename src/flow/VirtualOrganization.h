@@ -65,16 +65,16 @@ struct VoConfig {
   /// priced and side-effect-free: deliberately excluded from
   /// voConfigCanonical, like the journal toggle.
   bool RepairOracle = false;
-  /// Worker shards of the job-flow level: each flow's jobs are
-  /// partitioned across this many job managers (job id mod shards) and
-  /// per-tick admission / negotiation batches run their expensive
-  /// halves concurrently, one lane per shard. 0 = resolve from the
-  /// CWS_SHARDS environment variable (1 when unset). Results are
-  /// byte-identical at any value — see resolveShardCount.
+  /// Worker lanes of the job-flow level (`--shards`): the cap on how
+  /// many per-tick strategy builds, tender evaluations and per-flow
+  /// invalidation passes run concurrently. Every flow still has exactly
+  /// one job manager. 0 = resolve from the CWS_SHARDS environment
+  /// variable (1 when unset). Results are byte-identical at any value —
+  /// see resolveShardCount.
   size_t Shards = 0;
 };
 
-/// Effective shard count: \p Configured when positive, else the
+/// Effective job-flow lane count: \p Configured when positive, else the
 /// CWS_SHARDS environment variable when it parses to a positive
 /// integer, else 1; capped at 64 (the thread-pool's lane cap). The
 /// count only changes *who computes what in parallel* — journals,

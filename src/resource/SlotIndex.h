@@ -90,11 +90,11 @@ private:
   std::vector<ReservedRange> Added;
 };
 
-/// One consumer's position in an EnvChangeLog. Sharded runs give every
-/// (flow, shard) job manager its own cursor, so each shard drains the
+/// One consumer's position in an EnvChangeLog. Multi-flow runs give
+/// every flow's job manager its own cursor, so each flow drains the
 /// shared log independently — concurrent drains are safe because the
 /// log is append-only, drains only read the suffix written before the
-/// tick barrier, and each cursor is owned by exactly one shard.
+/// parallel pass began, and each cursor is owned by exactly one manager.
 class EnvLogCursor {
 public:
   /// Invokes \p Fn on every range appended since the last drain and

@@ -95,3 +95,9 @@ TEST(Economy, MultipleUsersAreIndependent) {
   EXPECT_DOUBLE_EQ(E.spent(A), 5.0);
   EXPECT_DOUBLE_EQ(E.spent(B), 0.0);
 }
+
+TEST(Economy, GrantToUnknownUserDies) {
+  Economy E;
+  E.addUser(10.0);
+  EXPECT_DEATH(E.grant(7, 1.0), "unknown user");
+}

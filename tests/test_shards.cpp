@@ -1,19 +1,18 @@
-//===-- tests/test_shards.cpp - Sharded job-flow pipeline tests -----------===//
+//===-- tests/test_shards.cpp - Batched job-flow pipeline tests -----------===//
 //
 // Part of CWS, a reproduction of Toporkov, "Application-Level and Job-Flow
 // Scheduling" (PaCT 2009). Distributed without any warranty.
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded job-flow metascheduler: shard-count differentials
+// The batched job-flow pipeline (one job manager per flow, parallel
+// prepares, serial applies in job-id order): lane-count differentials
 // (byte-identical journals and per-job stats at any --shards value,
-// both invalidation modes), the owner-id stripe partition, the
-// economy's per-shard charge ledgers, and shard-count resolution.
+// both invalidation modes), quota enforcement within a drain, and
+// lane-count resolution.
 //
 //===----------------------------------------------------------------------===//
 
-#include "flow/Economy.h"
-#include "flow/Metascheduler.h"
 #include "flow/VirtualOrganization.h"
 #include "metrics/Export.h"
 #include "obs/Journal.h"
@@ -21,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,14 +34,17 @@ protected:
 };
 
 /// One journaled multi-flow run; returns the journal bytes and the
-/// per-flow per-job CSVs (everything downstream consumers see).
+/// per-flow per-job CSVs (everything downstream consumers see), plus
+/// the per-flow results they were rendered from.
 struct RunArtifacts {
   std::string Journal;
   std::vector<std::string> FlowCsvs;
+  std::vector<VoRunResult> Flows;
 };
 
 RunArtifacts shardedVoRun(size_t Shards, uint64_t Seed,
-                          InvalidationMode Mode, bool Exec = false) {
+                          InvalidationMode Mode, bool Exec = false,
+                          double Quota = 1e12) {
   VoConfig Config;
   Config.JobCount = 36;
   // Bursty arrivals so per-tick batches genuinely hold several jobs
@@ -53,15 +54,16 @@ RunArtifacts shardedVoRun(size_t Shards, uint64_t Seed,
   Config.Invalidation = Mode;
   Config.ExecuteWithDeviations = Exec;
   Config.Shards = Shards;
+  Config.UserQuota = Quota;
   obs::Journal &Jn = obs::Journal::global();
   Jn.reset();
   Jn.enable();
-  std::vector<VoRunResult> Results =
+  RunArtifacts Out;
+  Out.Flows =
       runMultiFlowVo(Config, {StrategyKind::S1, StrategyKind::S3}, Seed);
   Jn.disable();
-  RunArtifacts Out;
   Out.Journal = Jn.jsonl();
-  for (const VoRunResult &R : Results)
+  for (const VoRunResult &R : Out.Flows)
     Out.FlowCsvs.push_back(voStatsCsv(R.Jobs));
   Jn.reset();
   return Out;
@@ -107,88 +109,39 @@ TEST_F(ShardTest, ExecutionDeviationsAreShardInvariant) {
 }
 
 //===----------------------------------------------------------------------===//
-// Owner-id stripes
+// Quota enforcement within a drain
 //===----------------------------------------------------------------------===//
 
-TEST(ShardOwners, StripesAreDisjointAndCoverEveryJob) {
-  constexpr size_t Shards = 4;
-  std::set<OwnerId> Seen;
-  for (unsigned JobId = 0; JobId < 1000; ++JobId) {
-    OwnerId Owner = Metascheduler::ownerOf(JobId);
-    // Owner ids are pure in the job id: the same at every shard count.
-    EXPECT_EQ(Owner, JobOwnerBase + JobId);
-    // Exactly one shard owns each id (insertion implies no collision).
-    EXPECT_TRUE(Seen.insert(Owner).second);
-    size_t S = Metascheduler::shardOfJob(JobId, Shards);
-    EXPECT_LT(S, Shards);
-    // The stripe rule: shard S owns { JobOwnerBase + S + k * Shards }.
-    EXPECT_EQ((Owner - JobOwnerBase) % Shards, S);
-    // Owner -> shard agrees with job -> shard.
-    EXPECT_EQ(Metascheduler::shardOfOwner(Owner, Shards), S);
-  }
-  EXPECT_EQ(Seen.size(), 1000u);
-}
-
-TEST(ShardOwners, SingleShardOwnsEverything) {
-  for (unsigned JobId : {0u, 1u, 17u, 999u}) {
-    EXPECT_EQ(Metascheduler::shardOfJob(JobId, 1), 0u);
-    EXPECT_EQ(Metascheduler::shardOfJob(JobId, 0), 0u);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Economy ledgers
-//===----------------------------------------------------------------------===//
-
-TEST(ShardEconomy, MergeIsInsensitiveToRecordingOrderAndShardCount) {
-  // The same set of charges, recorded in three different shard/order
-  // configurations, must leave every account with bit-identical spend.
-  struct Charge {
-    unsigned User;
-    unsigned JobId;
-    double Amount;
-  };
-  // Amounts chosen so float addition order matters if unsorted.
-  const std::vector<Charge> Charges = {{0, 4, 0.1},  {0, 1, 1e8},
-                                       {0, 9, 0.2},  {1, 2, 3.7},
-                                       {0, 6, 1e-7}, {1, 8, 0.3}};
-  auto SpentAfter = [&](size_t Shards,
-                        const std::vector<size_t> &Order) {
-    Economy E;
-    E.addUser(1e12);
-    E.addUser(1e12);
-    E.beginLedgers(Shards);
-    for (size_t I : Order) {
-      const Charge &C = Charges[I];
-      E.setActiveShard(C.JobId % Shards, C.JobId);
-      EXPECT_TRUE(E.charge(C.User, C.Amount));
+TEST_F(ShardTest, TightQuotaIsNeverOverspentWithinADrain) {
+  // Bursty arrivals put several commits of one flow into the same
+  // drain; every charge debits at once, so a later commit of the drain
+  // sees the earlier ones and a flow can never spend past its quota.
+  // At this seed and quota, debits deferred to the end of the drain
+  // would let the S1 flow spend ~751.
+  constexpr double Quota = 500.0;
+  RunArtifacts Serial = shardedVoRun(1, /*Seed=*/32, InvalidationMode::Index,
+                                     /*Exec=*/false, Quota);
+  ASSERT_EQ(Serial.Flows.size(), 2u);
+  size_t Committed = 0, Rejected = 0;
+  for (const VoRunResult &R : Serial.Flows) {
+    double Spent = 0.0;
+    for (const VoJobStats &St : R.Jobs) {
+      if (St.Committed)
+        Spent += St.Cost;
+      Committed += St.Committed;
+      Rejected += St.Rejected;
     }
-    E.mergeLedgers();
-    return std::make_pair(E.spent(0), E.spent(1));
-  };
-  auto Base = SpentAfter(1, {0, 1, 2, 3, 4, 5});
-  EXPECT_EQ(Base, SpentAfter(1, {5, 4, 3, 2, 1, 0}));
-  EXPECT_EQ(Base, SpentAfter(3, {2, 0, 5, 1, 4, 3}));
-  EXPECT_EQ(Base, SpentAfter(4, {3, 5, 0, 4, 2, 1}));
-}
-
-TEST(ShardEconomy, CanAffordCountsPendingLedgerDebits) {
-  Economy E;
-  unsigned User = E.addUser(100.0);
-  E.beginLedgers(2);
-  E.setActiveShard(0, /*JobId=*/0);
-  EXPECT_TRUE(E.charge(User, 60.0));
-  // The debit is still pending, not merged...
-  EXPECT_DOUBLE_EQ(E.spent(User), 0.0);
-  EXPECT_DOUBLE_EQ(E.pendingOf(User), 60.0);
-  // ...but affordability must already see it, or a later job of the
-  // same drain could overspend the quota.
-  EXPECT_FALSE(E.canAfford(User, 50.0));
-  EXPECT_TRUE(E.canAfford(User, 40.0));
-  E.mergeLedgers();
-  EXPECT_DOUBLE_EQ(E.spent(User), 60.0);
-  EXPECT_DOUBLE_EQ(E.pendingOf(User), 0.0);
-  EXPECT_FALSE(E.canAfford(User, 50.0));
+    // canAfford admits a charge up to 1e-9 past the remaining quota.
+    EXPECT_LE(Spent, Quota + 1e-6) << strategyName(R.Kind);
+  }
+  EXPECT_GT(Committed, 0u);
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_NE(Serial.Journal.find("quota-denied"), std::string::npos)
+      << "the quota never bound; tighten it";
+  RunArtifacts Parallel = shardedVoRun(4, /*Seed=*/32, InvalidationMode::Index,
+                                       /*Exec=*/false, Quota);
+  EXPECT_EQ(Serial.Journal, Parallel.Journal);
+  EXPECT_EQ(Serial.FlowCsvs, Parallel.FlowCsvs);
 }
 
 //===----------------------------------------------------------------------===//

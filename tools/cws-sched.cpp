@@ -14,7 +14,6 @@
 ///             [--trace out.json] [--trace-categories core]
 ///             [--metrics out.prom] [--journal run.jsonl]
 ///             [--timeseries ts.csv] [--profile profile.json]
-///             [--invalidation scan|index] [--reallocation repair|rebuild]
 ///
 /// The description must declare nodes (or pass --fig2grid 1 to use the
 /// paper's four-type environment).
@@ -86,46 +85,8 @@ int main(int Argc, char **Argv) {
   F.addString("profile", &ProfileFile,
               "write the phase profile (where wall time and work went) "
               "as JSON; inspect with cws-report --profile");
-  // A single build has no environment changes to invalidate against;
-  // the flag is validated here so scripts can pass one uniform command
-  // line to both tools.
-  std::string Invalidation = "index";
-  F.addString("invalidation", &Invalidation,
-              "how env changes find broken strategies: index or scan "
-              "(no-op for a one-shot build; accepted for tool-flag "
-              "uniformity with cws-sim)");
-  // Like --invalidation: a one-shot build has no job flow to shard, but
-  // scripts pass one uniform command line to both tools.
-  int64_t Shards = 0;
-  F.addInt("shards", &Shards,
-           "worker shards of the job-flow level (no-op for a one-shot "
-           "build; accepted for tool-flag uniformity with cws-sim)");
-  std::string Reallocation = "repair";
-  F.addString("reallocation", &Reallocation,
-              "how stale strategies are replaced: repair or rebuild "
-              "(no-op for a one-shot build; accepted for tool-flag "
-              "uniformity with cws-sim)");
   if (!F.parse(Argc, Argv))
     return 0;
-  if (Invalidation != "scan" && Invalidation != "index") {
-    std::fprintf(stderr,
-                 "cws-sched: --invalidation must be scan or index, got "
-                 "'%s'\n",
-                 Invalidation.c_str());
-    return 2;
-  }
-  if (Reallocation != "repair" && Reallocation != "rebuild") {
-    std::fprintf(stderr,
-                 "cws-sched: --reallocation must be repair or rebuild, got "
-                 "'%s'\n",
-                 Reallocation.c_str());
-    return 2;
-  }
-  if (Shards < 0) {
-    std::fprintf(stderr, "cws-sched: --shards must be >= 0\n");
-    return 2;
-  }
-
   if (!TraceFile.empty()) {
     obs::Tracer::global().setCategoryFilter(TraceCategories);
     obs::Tracer::global().enable();

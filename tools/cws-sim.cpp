@@ -72,9 +72,9 @@ int main(int Argc, char **Argv) {
            "CWS_BUILD_THREADS, 1 = serial)");
   int64_t Shards = 0;
   F.addInt("shards", &Shards,
-           "worker shards of the job-flow level: parallel ingest and "
-           "tender evaluation, results byte-identical at any value "
-           "(0 = CWS_SHARDS env, 1 when unset)");
+           "worker lanes of the job-flow level: parallel strategy builds, "
+           "tender evaluation and per-flow invalidation, results "
+           "byte-identical at any value (0 = CWS_SHARDS env, 1 when unset)");
   F.addString("trace", &TraceFile,
               "write a Chrome trace-event JSON timeline of the run");
   F.addString("trace-categories", &TraceCategories,
