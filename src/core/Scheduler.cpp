@@ -43,8 +43,8 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
                                 Tick Now) {
   CWS_CHECK(Owner != 0, "scheduling needs a non-zero owner id");
   SchedulerMetrics &M = SchedulerMetrics::get();
-  obs::Span SchedSpan("core", "scheduleJob", "tasks",
-                      static_cast<int64_t>(J.taskCount()));
+  obs::Scope Sched("core", "scheduleJob", "tasks",
+                   static_cast<int64_t>(J.taskCount()));
   ScheduleResult Result;
   if (J.taskCount() == 0) {
     Result.Feasible = true;
@@ -74,26 +74,24 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
   while (Remaining > 0) {
     CriticalWork Work;
     {
-      obs::Span ExtractSpan("core", "extractCriticalWork");
+      obs::Scope Extract("core", "extractCriticalWork");
       Work = findCriticalWork(J, Assigned);
-      ExtractSpan.arg("chain_len",
-                      static_cast<int64_t>(Work.TaskIds.size()));
+      Extract.arg("chain_len", static_cast<int64_t>(Work.TaskIds.size()));
     }
     CWS_CHECK(!Work.TaskIds.empty(), "tasks remain but no critical work");
     Result.Phases.push_back(Work);
     M.Phases.add();
     bool Placed;
     {
-      obs::PhaseScope DpPhase("chain.dp");
+      obs::Scope Dp("core", "chain.dp", "chain_len",
+                    static_cast<int64_t>(Work.TaskIds.size()));
       uint64_t Labels0 = Allocator.labelsKept();
       uint64_t Reruns0 = Allocator.dpReruns();
-      obs::Span AllocSpan("core", "allocateChain", "chain_len",
-                          static_cast<int64_t>(Work.TaskIds.size()));
       Placed = Allocator.allocate(Work, Result.Dist, Release, J.deadline(),
                                   Owner, Result.Collisions);
-      AllocSpan.arg("placed", Placed);
-      DpPhase.work("labels", Allocator.labelsKept() - Labels0);
-      DpPhase.work("dp_reruns", Allocator.dpReruns() - Reruns0);
+      Dp.arg("placed", Placed);
+      Dp.work("labels", Allocator.labelsKept() - Labels0);
+      Dp.work("dp_reruns", Allocator.dpReruns() - Reruns0);
     }
     if (Placed) {
       for (unsigned TaskId : Work.TaskIds) {
@@ -120,7 +118,7 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
       M.Infeasible.add();
       M.Collisions.add(Result.Collisions.size());
       M.Repairs.add(static_cast<uint64_t>(Repairs));
-      SchedSpan.arg("feasible", 0);
+      Sched.arg("feasible", 0);
       return Result;
     }
     ++Repairs;
@@ -141,6 +139,6 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
     M.Infeasible.add();
   M.Collisions.add(Result.Collisions.size());
   M.Repairs.add(static_cast<uint64_t>(Repairs));
-  SchedSpan.arg("feasible", Result.Feasible);
+  Sched.arg("feasible", Result.Feasible);
   return Result;
 }

@@ -10,16 +10,13 @@
 #include "job/Estimates.h"
 #include "job/Job.h"
 #include "obs/Journal.h"
-#include "obs/Metrics.h"
 #include "obs/Profiler.h"
-#include "obs/Trace.h"
 #include "support/Check.h"
 #include "support/ThreadPool.h"
 
 #include <cmath>
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 using namespace cws;
@@ -87,17 +84,8 @@ static bool sameDistribution(const Distribution &A, const Distribution &B) {
 Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
                          const StrategyConfig &Config, OwnerId Owner,
                          Tick Now) {
-  static obs::Counter &Builds = obs::Registry::global().counter(
-      "cws_strategy_builds_total", "strategies generated");
-  static obs::Histogram &BuildMicros = obs::Registry::global().histogram(
-      "cws_strategy_build_micros",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
-       250000, 1000000},
-      "wall-clock latency of one Strategy::build (microseconds)");
-  obs::PhaseScope BuildPhase("strategy.build");
-  obs::Span BuildSpan("core", "strategy.build", "job",
-                      static_cast<int64_t>(J.id()));
-  auto T0 = std::chrono::steady_clock::now();
+  obs::Scope Build("core", "strategy.build", "job",
+                   static_cast<int64_t>(J.id()));
   Strategy S;
   S.Kind = Config.Kind;
   S.JobId = J.id();
@@ -228,14 +216,9 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
                   collisionResolutionName(C.Resolution));
     }
   }
-  Builds.add();
-  BuildMicros.observe(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count()));
-  BuildSpan.arg("variants", static_cast<int64_t>(S.Variants.size()));
-  BuildPhase.work("variants_built", Tasks.size());
-  BuildPhase.work("variants_kept", S.Variants.size());
+  Build.arg("variants", static_cast<int64_t>(S.Variants.size()));
+  Build.work("variants_built", Tasks.size());
+  Build.work("variants_kept", S.Variants.size());
   return S;
 }
 

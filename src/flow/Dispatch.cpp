@@ -8,8 +8,8 @@
 #include "flow/Dispatch.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
+#include "obs/Profiler.h"
 #include "obs/TimeSeries.h"
-#include "obs/Trace.h"
 #include "support/Check.h"
 #include "support/ThreadPool.h"
 
@@ -61,8 +61,8 @@ DispatchDecision DomainDispatcher::dispatch(const Job &J, OwnerId Owner,
   static obs::Counter &Dispatches = obs::Registry::global().counter(
       "cws_dispatch_total", "jobs routed to a domain by the dispatcher");
   Dispatches.add();
-  obs::Span DispatchSpan("flow", "dispatch", "job",
-                         static_cast<int64_t>(J.id()));
+  obs::Scope Dispatch("flow", "dispatch", "job",
+                      static_cast<int64_t>(J.id()));
   DispatchDecision Decision;
   switch (Policy) {
   case DispatchPolicy::RoundRobin:
@@ -128,8 +128,7 @@ DispatchDecision DomainDispatcher::dispatch(const Job &J, OwnerId Owner,
     }
     if (Winner) {
       Decision.S = std::move(*Winner);
-      DispatchSpan.arg("domain",
-                       static_cast<int64_t>(Decision.DomainIdx));
+      Dispatch.arg("domain", static_cast<int64_t>(Decision.DomainIdx));
       journalDecision(J, Decision, Now);
       return Decision;
     }
@@ -141,7 +140,7 @@ DispatchDecision DomainDispatcher::dispatch(const Job &J, OwnerId Owner,
   }
 
   Decision.S = buildOn(J, Domains[Decision.DomainIdx], Owner, Now);
-  DispatchSpan.arg("domain", static_cast<int64_t>(Decision.DomainIdx));
+  Dispatch.arg("domain", static_cast<int64_t>(Decision.DomainIdx));
   journalDecision(J, Decision, Now);
   return Decision;
 }

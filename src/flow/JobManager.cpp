@@ -146,8 +146,8 @@ void journalInvalidate(obs::Journal &Jn, const Strategy &S, const Grid &G,
 JobManager::PreparedArrival JobManager::prepareArrival(const Job &J,
                                                        Tick Now) {
   FlowMetrics::get().Submitted.add();
-  obs::Span ArrivalSpan("flow", "job.arrival", "job",
-                        static_cast<int64_t>(J.id()));
+  obs::Scope Arrival("flow", "job.arrival", "job",
+                     static_cast<int64_t>(J.id()));
   PreparedArrival P{J, Strategy{}, {}};
   obs::Journal &Jn = obs::Journal::global();
   // Defer the arrival and build events: batched admissions build in
@@ -221,13 +221,13 @@ bool JobManager::finishArrival(PreparedArrival &&P, Tick Now) {
 }
 
 size_t JobManager::prepareNegotiation(unsigned JobId) const {
-  obs::PhaseScope TenderPhase("tender.eval");
+  obs::Scope Tender("flow", "tender.eval");
   auto It = Active.find(JobId);
   CWS_CHECK(It != Active.end(), "negotiation for an unknown job");
   const ActiveJob &A = It->second;
   const ScheduleVariant *Pick =
       A.S.bestFitting(Meta.grid(), Metascheduler::ownerOf(JobId));
-  TenderPhase.work("variants_scanned", A.S.variants().size());
+  Tender.work("variants_scanned", A.S.variants().size());
   return Pick ? static_cast<size_t>(Pick - A.S.variants().data())
               : PickNone;
 }
@@ -235,8 +235,8 @@ size_t JobManager::prepareNegotiation(unsigned JobId) const {
 std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
                                               size_t PickHint) {
   FlowMetrics &M = FlowMetrics::get();
-  obs::Span NegotiationSpan("flow", "job.negotiate", "job",
-                            static_cast<int64_t>(JobId));
+  obs::Scope Negotiation("flow", "job.negotiate", "job",
+                         static_cast<int64_t>(JobId));
   obs::Journal &Jn = obs::Journal::global();
   auto It = Active.find(JobId);
   CWS_CHECK(It != Active.end(), "negotiation for an unknown job");
@@ -328,7 +328,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
         M.Committed.add();
         M.ShiftRecovered.add();
         M.Switched.add();
-        NegotiationSpan.arg("outcome", 1);
+        Negotiation.arg("outcome", 1);
         if (Jn.enabled())
           Jn.append(obs::JournalKind::Commit, JobId, Now,
                     {{"variant", static_cast<int64_t>(
@@ -353,7 +353,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
       St.Rejected = true;
       A.Done = true;
       M.Rejected.add();
-      NegotiationSpan.arg("outcome", 0);
+      Negotiation.arg("outcome", 0);
       if (Jn.enabled())
         Jn.append(obs::JournalKind::Reject, JobId, Now, {},
                   "stale-inadmissible");
@@ -380,7 +380,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
     }
     A.Done = true;
     M.Rejected.add();
-    NegotiationSpan.arg("outcome", 0);
+    Negotiation.arg("outcome", 0);
     if (Jn.enabled())
       Jn.append(obs::JournalKind::Reject, JobId, Now, {}, "commit-failed");
     maybeRetire(JobId);
@@ -394,7 +394,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
     M.Switched.add();
   obs::Tracer::global().instant("flow", "job.commit", "variant",
                                 static_cast<int64_t>(PickIdx));
-  NegotiationSpan.arg("variant", static_cast<int64_t>(PickIdx));
+  Negotiation.arg("variant", static_cast<int64_t>(PickIdx));
   St.Committed = true;
   St.ActualStart = Pick->Result.Dist.startTime();
   St.Completion = Pick->Result.Dist.makespan();

@@ -12,7 +12,6 @@
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
 #include "obs/TimeSeries.h"
-#include "obs/Trace.h"
 #include "support/Check.h"
 
 #include <algorithm>
@@ -68,8 +67,8 @@ bool Metascheduler::commit(const Job &J, const ScheduleVariant &Variant,
 bool Metascheduler::commitDistribution(const Job &J, const Distribution &D,
                                        unsigned UserId, Tick Now) {
   MetaMetrics &M = MetaMetrics::get();
-  obs::Span CommitSpan("flow", "meta.commit", "job",
-                       static_cast<int64_t>(J.id()));
+  obs::Scope Commit("flow", "meta.commit", "job",
+                    static_cast<int64_t>(J.id()));
   obs::Journal &Jn = obs::Journal::global();
   double Cost = D.economicCost();
   auto Attempt = [&](bool Ok, const char *Why) {
@@ -80,13 +79,13 @@ bool Metascheduler::commitDistribution(const Job &J, const Distribution &D,
   };
   if (!Econ.canAfford(UserId, Cost)) {
     M.QuotaDenied.add();
-    CommitSpan.arg("ok", 0);
+    Commit.arg("ok", 0);
     Attempt(false, "quota-denied");
     return false;
   }
   if (!D.commit(Env, ownerOf(J.id()))) {
     M.SlotConflicts.add();
-    CommitSpan.arg("ok", 0);
+    Commit.arg("ok", 0);
     Attempt(false, "slot-conflict");
     return false;
   }
@@ -96,7 +95,7 @@ bool Metascheduler::commitDistribution(const Job &J, const Distribution &D,
     for (const Placement &P : D.placements())
       ChangeLog->noteAdded(P.NodeId, P.Start, P.End);
   M.Commits.add();
-  CommitSpan.arg("ok", 1);
+  Commit.arg("ok", 1);
   Attempt(true, "ok");
   obs::TimeSeries::global().sampleEvent(Now, "commit");
   return true;
@@ -108,8 +107,8 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   MetaMetrics &M = MetaMetrics::get();
   M.ReallocAttempts.add();
   obs::TimeSeries::global().sampleEvent(Now, "reallocate");
-  obs::Span ReallocSpan("flow", "meta.reallocate", "job",
-                        static_cast<int64_t>(J.id()));
+  obs::Scope Realloc("flow", "meta.reallocate", "job",
+                     static_cast<int64_t>(J.id()));
   obs::Journal &Jn = obs::Journal::global();
   if (Jn.enabled())
     Jn.append(obs::JournalKind::Reallocate, static_cast<int64_t>(J.id()),
@@ -118,7 +117,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   ReallocationResult Out;
 
   if (ReallocMode == ReallocationMode::Repair && Stale.admissible()) {
-    obs::PhaseScope RepairPhase("meta.repair");
+    obs::Scope Repair("flow", "meta.repair");
     const Job &Sched = Stale.scheduledJob();
     RepairInputs In{Env, Net, Config, Owner, Now};
     // Candidate order: feasible variants, cheapest first — the flow
@@ -158,9 +157,9 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
     }
     if (R) {
       bool IsShift = R->Stage == RepairStage::Shift;
-      RepairPhase.work("repaired", 1);
-      RepairPhase.work("placements_pinned", R->PlacementsPinned);
-      RepairPhase.work("works_rerun", R->WorksRerun);
+      Repair.work("repaired", 1);
+      Repair.work("placements_pinned", R->PlacementsPinned);
+      Repair.work("works_rerun", R->WorksRerun);
       Out.S = Strategy::repaired(Stale, std::move(R->Repaired), Now);
       Out.Stage = R->Stage;
       (IsShift ? M.RepairedShift : M.RepairedDp).add();
@@ -179,7 +178,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
       // The swap: the old reservations die only now, with the repaired
       // replacement validated against the live grid.
       Env.releaseOwner(Owner);
-      ReallocSpan.arg("stage", IsShift ? 1 : 2);
+      Realloc.arg("stage", IsShift ? 1 : 2);
       return Out;
     }
   }
@@ -204,7 +203,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
               Now,
               {{"stage", 3}, {"ok", Out.Stage == RepairStage::Rebuild ? 1 : 0}},
               repairStageName(Out.Stage));
-  ReallocSpan.arg("stage", 3);
+  Realloc.arg("stage", 3);
   return Out;
 }
 

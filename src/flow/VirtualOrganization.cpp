@@ -154,7 +154,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
     // One profiler scope per environment change on the calling thread;
     // the per-manager re-validation work joins it by name from the
     // worker lanes, so counts and work stay lane-invariant.
-    CWS_PHASE("env.invalidate");
+    obs::Scope Invalidate("flow", "env.invalidate");
     obs::Journal &Jn = obs::Journal::global();
     std::vector<obs::JournalBuffer> Buffers(Managers.size());
     ThreadPool::global().parallelFor(
@@ -255,7 +255,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
     // every strategy in parallel (journal events captured per job), then
     // admit serially in ascending job id.
     if (!ArrivalBatch.empty()) {
-      obs::PhaseScope AdmissionPhase("meta.admission");
+      obs::Scope Admission("flow", "meta.admission");
       std::vector<PendingArrival> Batch;
       Batch.swap(ArrivalBatch);
       std::sort(Batch.begin(), Batch.end(),
@@ -265,7 +265,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
       SM.AdmissionBatches.add();
       SM.AdmissionJobs.add(Batch.size());
       SM.AdmissionBatchJobs.observe(static_cast<double>(Batch.size()));
-      AdmissionPhase.work("jobs", Batch.size());
+      Admission.work("jobs", Batch.size());
       std::vector<std::optional<JobManager::PreparedArrival>> Prepared(
           Batch.size());
       Pool.submitRange(
@@ -305,8 +305,8 @@ cws::runMultiFlowVo(const VoConfig &Config,
       SM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
       std::vector<size_t> Hints(Ready.size());
       {
-        obs::PhaseScope PreparePhase("commit.prepare");
-        PreparePhase.work("tenders", Ready.size());
+        obs::Scope Prepare("flow", "commit.prepare");
+        Prepare.work("tenders", Ready.size());
         Pool.submitRange(
             0, Ready.size(),
             [&](size_t I) {
@@ -316,8 +316,8 @@ cws::runMultiFlowVo(const VoConfig &Config,
             /*MaxLanes=*/Lanes);
       }
       {
-        obs::PhaseScope ApplyPhase("commit.apply");
-        ApplyPhase.work("tenders", Ready.size());
+        obs::Scope Apply("flow", "commit.apply");
+        Apply.work("tenders", Ready.size());
         for (size_t I = 0; I < Ready.size(); ++I) {
           const PendingNegotiation &PN = Ready[I];
           std::optional<Tick> Completion =

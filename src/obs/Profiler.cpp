@@ -299,37 +299,42 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
 
 #if CWS_OBS_ENABLED
 
-PhaseScope::PhaseScope(const char *Name) : Name(Name) {
+Scope::Scope(const char *Category, const char *Name)
+    : Category(Category), Name(Name), Traced(Tracer::global().enabled()) {
+  if (Traced)
+    Tracer::global().record(TracePhase::Begin, Category, Name);
   Profiler &P = Profiler::global();
   if (!P.enabled())
-    return; // TS stays null; the destructor is a no-op.
+    return; // TS stays null: the phase side is a no-op.
   TS = &P.threadState();
   Parent = TS->Open;
   TS->Open = this;
   StartNs = nowNs();
 }
 
-PhaseScope::~PhaseScope() {
-  if (!TS)
-    return;
-  double DurUs = static_cast<double>(nowNs() - StartNs) / 1000.0;
-  TS->Open = Parent;
-  // Self-time is a same-thread notion: a parent only absorbs child
-  // time its own thread spent (cross-thread fan-out shows up as the
-  // child phase's total, not as the parent's child time).
-  if (Parent && Parent->TS == TS)
-    Parent->ChildUs += DurUs;
-  std::lock_guard<std::mutex> Lock(TS->Mu);
-  Profiler::PhaseAccum &A = TS->Phases[Name];
-  A.Count += 1;
-  A.TotalUs += DurUs;
-  A.ChildUs += ChildUs;
-  if (!A.DurUs)
-    A.DurUs.reset(new Histogram(phaseBounds()));
-  A.DurUs->observe(DurUs);
+Scope::~Scope() {
+  if (TS) {
+    double DurUs = static_cast<double>(nowNs() - StartNs) / 1000.0;
+    TS->Open = Parent;
+    // Self-time is a same-thread notion: a parent only absorbs child
+    // time its own thread spent (cross-thread fan-out shows up as the
+    // child phase's total, not as the parent's child time).
+    if (Parent && Parent->TS == TS)
+      Parent->ChildUs += DurUs;
+    std::lock_guard<std::mutex> Lock(TS->Mu);
+    Profiler::PhaseAccum &A = TS->Phases[Name];
+    A.Count += 1;
+    A.TotalUs += DurUs;
+    A.ChildUs += ChildUs;
+    if (!A.DurUs)
+      A.DurUs.reset(new Histogram(phaseBounds()));
+    A.DurUs->observe(DurUs);
+  }
+  if (Traced)
+    Tracer::global().record(TracePhase::End, Category, Name, Args, ArgCount);
 }
 
-void PhaseScope::work(const char *Counter, uint64_t N) {
+void Scope::work(const char *Counter, uint64_t N) {
   if (!TS)
     return;
   std::lock_guard<std::mutex> Lock(TS->Mu);
@@ -350,6 +355,12 @@ void publishProfilerStats(const Profiler &P, Registry &R) {
     R.realGauge("cws_phase_self_us" + Label,
                 "wall microseconds inside the phase (children excluded)")
         .set(S.SelfUs);
+    R.realGauge("cws_phase_p50_us" + Label,
+                "median wall microseconds of one scope of the phase")
+        .set(S.P50Us);
+    R.realGauge("cws_phase_p99_us" + Label,
+                "99th-percentile wall microseconds of one scope")
+        .set(S.P99Us);
     for (const auto &W : S.Work)
       R.gauge("cws_phase_work{phase=\"" + escapeLabelValue(S.Name) +
                   "\",counter=\"" + escapeLabelValue(W.first) + "\"}",

@@ -6,31 +6,36 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A scoped hierarchical phase profiler answering "where did the
-/// scheduler's wall-clock and work go": RAII `CWS_PHASE("chain.dp")`
-/// guards accumulate per-phase call counts, total/self wall time and
-/// duration quantiles (via `obs::Histogram`), plus named *work
-/// counters* (placements re-validated, DP labels kept, variants built)
-/// attached with `PhaseScope::work` or `Profiler::addWork`.
+/// The one instrumentation path: an RAII `obs::Scope` per instrumented
+/// site feeds both the hierarchical phase profiler defined here and the
+/// span tracer (`obs/Trace.h`), so the profile, the trace and the
+/// `cws_phase_*` metrics name and count the same scopes.
 ///
-/// Accumulation is per-thread — a guard never touches shared state
-/// while open, the same discipline as `JournalBuffer` — and threads
-/// merge deterministically at export: counts, work and histogram
-/// buckets add, phases sort by name. Counts and work counters are
-/// therefore identical at any `--build-threads` / `--shards` value;
+/// The profiler answers "where did the scheduler's wall-clock and work
+/// go": scopes accumulate per-phase call counts, total/self wall time
+/// and duration quantiles (via `obs::Histogram`), plus named *work
+/// counters* (placements re-validated, DP labels kept, variants built)
+/// attached with `Scope::work` or `Profiler::addWork`.
+///
+/// Accumulation is per-thread — a scope never touches shared profiler
+/// state while open, the same discipline as `JournalBuffer` — and
+/// threads merge deterministically at export: counts, work and
+/// histogram buckets add, phases sort by name. Counts and work counters
+/// are therefore identical at any `--build-threads` / `--shards` value;
 /// only the wall-time fields vary run to run.
 ///
-/// Like the tracer, the profiler is disabled by default and the
-/// disabled path is one relaxed atomic load plus a branch — no clock
-/// read, no allocation (`bench/obs_overhead` and `tests/test_profiler`
-/// guard this). `CWS_OBS_ENABLED=0` removes the guard bodies entirely.
+/// Both sinks are disabled by default, and a scope opened while they
+/// are is two relaxed atomic loads plus branches — no clock read, no
+/// allocation (`bench/obs_overhead` and `tests/test_profiler` guard
+/// this). `CWS_OBS_ENABLED=0` removes the scope bodies entirely.
 ///
-/// Phase names must be string literals (or otherwise outlive the open
-/// scope). Work counters may be attached to a phase that is not open
-/// on the calling thread — `Profiler::addWork("env.invalidate", ...)`
-/// from a worker lane lands in the same merged accumulator as the
-/// caller-side scope, which is what keeps totals shard-invariant when
-/// the *scope* runs once on the caller but the *work* fans out.
+/// Categories, phase names and argument keys must be string literals
+/// (or otherwise outlive both sinks). Work counters may be attached to
+/// a phase that is not open on the calling thread —
+/// `Profiler::addWork("env.invalidate", ...)` from a worker lane lands
+/// in the same merged accumulator as the caller-side scope, which is
+/// what keeps totals lane-invariant when the *scope* runs once on the
+/// caller but the *work* fans out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +43,7 @@
 #define CWS_OBS_PROFILER_H
 
 #include "obs/Provenance.h"
+#include "obs/Trace.h"
 
 #include <atomic>
 #include <cstdint>
@@ -47,16 +53,12 @@
 #include <string>
 #include <vector>
 
-#ifndef CWS_OBS_ENABLED
-#define CWS_OBS_ENABLED 1
-#endif
-
 namespace cws {
 namespace obs {
 
 class Histogram;
 class Registry;
-class PhaseScope;
+class Scope;
 
 /// Merged statistics of one phase, the unit of every export form.
 struct PhaseStats {
@@ -95,7 +97,7 @@ public:
   Profiler();
   ~Profiler();
 
-  /// The instance every `CWS_PHASE` guard records into.
+  /// The instance every `Scope` records into.
   static Profiler &global();
 
   /// Starts accumulating. Unlike the tracer there is no ring to size:
@@ -136,7 +138,7 @@ public:
   std::string chromeTraceEvents() const;
 
 private:
-  friend class PhaseScope;
+  friend class Scope;
 
   /// Accumulator of one phase on one thread.
   struct PhaseAccum {
@@ -154,7 +156,7 @@ private:
     mutable std::mutex Mu;
     std::map<std::string, PhaseAccum> Phases;
     /// Innermost open scope on this thread (self-time chain).
-    PhaseScope *Open = nullptr;
+    Scope *Open = nullptr;
   };
 
   ThreadState &threadState();
@@ -165,44 +167,61 @@ private:
   RunProvenance Prov;
 };
 
-/// RAII phase guard; see the file comment for the accounting rules.
-class PhaseScope {
+/// RAII instrumentation scope: `obs::Scope S("core", "chain.dp");`.
+/// Each sink decides once, when the scope opens: if the profiler is
+/// enabled the scope accumulates into phase \p Name, and if the tracer
+/// is enabled it records a Begin event and the matching End when it
+/// closes. A sink switched on while the scope is open therefore sees
+/// neither a partial phase nor an unmatched End.
+class Scope {
 public:
 #if CWS_OBS_ENABLED
-  explicit PhaseScope(const char *Name);
-  ~PhaseScope();
-  /// Attaches \p N units of \p Counter to this phase.
+  Scope(const char *Category, const char *Name);
+  Scope(const char *Category, const char *Name, const char *Key,
+        int64_t Value)
+      : Scope(Category, Name) {
+    arg(Key, Value);
+  }
+  ~Scope();
+  /// Attaches \p N units of \p Counter to this phase (profiler only).
   void work(const char *Counter, uint64_t N);
+  /// Attaches a numeric argument to the trace End event (at most two;
+  /// later calls overwrite the second slot).
+  void arg(const char *Key, int64_t Value) {
+    if (!Traced)
+      return;
+    size_t Slot = ArgCount < 2 ? ArgCount++ : 1;
+    Args[Slot] = TraceArg{Key, Value};
+  }
 #else
-  explicit PhaseScope(const char *) {}
+  Scope(const char *, const char *) {}
+  Scope(const char *, const char *, const char *, int64_t) {}
   void work(const char *, uint64_t) {}
+  void arg(const char *, int64_t) {}
 #endif
 
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
+  Scope(const Scope &) = delete;
+  Scope &operator=(const Scope &) = delete;
 
 private:
 #if CWS_OBS_ENABLED
-  friend class Profiler;
+  const char *Category;
   const char *Name;
+  /// The profiler's state of this thread; null when not profiled.
   Profiler::ThreadState *TS = nullptr;
-  PhaseScope *Parent = nullptr;
+  Scope *Parent = nullptr;
   int64_t StartNs = 0;
   /// Closed same-thread child time, accumulated by the children.
   double ChildUs = 0.0;
+  TraceArg Args[2];
+  uint8_t ArgCount = 0;
+  bool Traced;
 #endif
 };
 
-#define CWS_PHASE_CONCAT_IMPL(A, B) A##B
-#define CWS_PHASE_CONCAT(A, B) CWS_PHASE_CONCAT_IMPL(A, B)
-/// Opens a profiler phase for the enclosing scope:
-///   CWS_PHASE("meta.commit.apply");
-#define CWS_PHASE(NameLiteral)                                                 \
-  ::cws::obs::PhaseScope CWS_PHASE_CONCAT(CwsPhaseScope_,                      \
-                                          __LINE__)(NameLiteral)
-
 /// Publishes \p P's merged snapshot into \p R as `cws_phase_count` /
-/// `cws_phase_total_us` / `cws_phase_self_us` gauges and
+/// `cws_phase_total_us` / `cws_phase_self_us` / `cws_phase_p50_us` /
+/// `cws_phase_p99_us` gauges and
 /// `cws_phase_work{phase=...,counter=...}` counters, so a `--metrics`
 /// snapshot carries the phase breakdown next to everything else.
 void publishProfilerStats(const Profiler &P, Registry &R);

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// A low-overhead span tracer: a thread-safe ring buffer of begin/end/
-/// instant events, recorded through RAII `Span` guards, exported as
-/// Chrome trace-event JSON (loadable in chrome://tracing or Perfetto).
+/// instant events, exported as Chrome trace-event JSON (loadable in
+/// chrome://tracing or Perfetto). Begin/End pairs come from the one
+/// instrumentation scope, `obs::Scope` (`obs/Profiler.h`), which also
+/// feeds the phase profiler.
 ///
 /// The tracer is disabled by default. While disabled every record call
 /// is a single relaxed atomic load plus a predictable branch, so
@@ -71,13 +73,13 @@ struct TraceEvent {
 /// Thread-safe ring-buffer tracer.
 ///
 /// Most code records through the process-wide `Tracer::global()`
-/// instance via `Span` guards and `instant()`; tests may construct
+/// instance via `obs::Scope` and `instant()`; tests may construct
 /// their own.
 class Tracer {
 public:
   static constexpr size_t DefaultCapacity = 1 << 16;
 
-  /// The process-wide tracer every `Span` records into.
+  /// The process-wide tracer every `obs::Scope` records into.
   static Tracer &global();
 
   /// Starts recording into a fresh ring of \p Capacity slots and
@@ -150,55 +152,6 @@ private:
   uint64_t Head = 0;
   /// steady_clock epoch (microseconds) set at enable().
   int64_t EpochMicros = 0;
-};
-
-/// RAII span guard: records a Begin event on construction and the
-/// matching End on destruction. Arguments attached with `arg()` are
-/// emitted with the End event, so values computed inside the span
-/// (counts, outcomes) can be attached before it closes.
-class Span {
-public:
-#if CWS_OBS_ENABLED
-  Span(const char *Category, const char *Name)
-      : Category(Category), Name(Name),
-        Active(Tracer::global().enabled()) {
-    if (Active)
-      Tracer::global().record(TracePhase::Begin, Category, Name);
-  }
-  Span(const char *Category, const char *Name, const char *Key,
-       int64_t Value)
-      : Span(Category, Name) {
-    arg(Key, Value);
-  }
-  ~Span() {
-    if (Active)
-      Tracer::global().record(TracePhase::End, Category, Name, Args,
-                              ArgCount);
-  }
-  /// Attaches a numeric argument to the closing event (at most two;
-  /// later calls overwrite the second slot).
-  void arg(const char *Key, int64_t Value) {
-    if (!Active)
-      return;
-    size_t Slot = ArgCount < 2 ? ArgCount++ : 1;
-    Args[Slot] = TraceArg{Key, Value};
-  }
-
-private:
-  const char *Category;
-  const char *Name;
-  TraceArg Args[2];
-  uint8_t ArgCount = 0;
-  bool Active;
-#else
-  Span(const char *, const char *) {}
-  Span(const char *, const char *, const char *, int64_t) {}
-  void arg(const char *, int64_t) {}
-#endif
-
-public:
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
 };
 
 /// Publishes the global tracer's loss counters into \p R as

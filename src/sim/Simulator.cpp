@@ -48,7 +48,7 @@ EventId Simulator::after(Tick Delay, EventFn Fn) {
 
 size_t Simulator::run(Tick Until) {
   SimMetrics &M = SimMetrics::get();
-  obs::Span RunSpan("sim", "sim.run");
+  obs::Scope RunScope("sim", "sim.run");
   auto T0 = std::chrono::steady_clock::now();
   size_t Executed = 0;
   obs::Tracer &Tr = obs::Tracer::global();
@@ -62,7 +62,7 @@ size_t Simulator::run(Tick Until) {
     // the event dispatches, so they see the state the tick starts from.
     Ts.onTick(Now);
     {
-      CWS_PHASE("sim.tick");
+      obs::Scope TickScope("sim", "sim.tick");
       Events.runNext();
     }
     ++Executed;
@@ -73,8 +73,8 @@ size_t Simulator::run(Tick Until) {
   M.WallMicros.set(std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::steady_clock::now() - T0)
                        .count());
-  RunSpan.arg("events", static_cast<int64_t>(Executed));
-  RunSpan.arg("virtual_ticks", Now);
+  RunScope.arg("events", static_cast<int64_t>(Executed));
+  RunScope.arg("virtual_ticks", Now);
   obs::Journal &Jn = obs::Journal::global();
   if (Jn.enabled())
     Jn.append(obs::JournalKind::Note, -1, Now,

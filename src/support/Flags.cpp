@@ -8,6 +8,7 @@
 #include "support/Flags.h"
 #include "support/Check.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -38,6 +39,25 @@ const Flags::Entry *Flags::find(const std::string &Name) const {
     if (E.Name == Name)
       return &E;
   return nullptr;
+}
+
+/// Converts all of \p Value with \p Convert (a strtoll/strtod shape)
+/// into \p Out. Empty, non-numeric, trailing-garbage ("12x") and
+/// out-of-range values fail.
+template <typename T, typename ConvertFn>
+static bool parseWhole(const std::string &Value, T &Out, ConvertFn Convert) {
+  const char *Begin = Value.c_str();
+  char *End = nullptr;
+  errno = 0;
+  Out = Convert(Begin, &End);
+  return End != Begin && *End == '\0' && errno != ERANGE;
+}
+
+[[noreturn]] static void badNumber(const std::string &Name, const char *What,
+                                   const std::string &Value) {
+  std::fprintf(stderr, "flag '--%s' takes %s, got '%s'\n", Name.c_str(),
+               What, Value.c_str());
+  std::exit(2);
 }
 
 bool Flags::parse(int Argc, char **Argv) const {
@@ -91,11 +111,18 @@ bool Flags::parse(int Argc, char **Argv) const {
       break;
     }
     case Kind::Int:
-      *static_cast<int64_t *>(E->Storage) = std::strtoll(Value.c_str(),
-                                                         nullptr, 10);
+      if (!parseWhole(Value, *static_cast<int64_t *>(E->Storage),
+                      [](const char *S, char **End) {
+                        return std::strtoll(S, End, 10);
+                      }))
+        badNumber(Name, "an integer", Value);
       break;
     case Kind::Real:
-      *static_cast<double *>(E->Storage) = std::strtod(Value.c_str(), nullptr);
+      if (!parseWhole(Value, *static_cast<double *>(E->Storage),
+                      [](const char *S, char **End) {
+                        return std::strtod(S, End);
+                      }))
+        badNumber(Name, "a number", Value);
       break;
     case Kind::String:
       *static_cast<std::string *>(E->Storage) = Value;

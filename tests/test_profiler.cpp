@@ -59,10 +59,10 @@ TEST_F(ProfilerTest, NestingAndSelfTime) {
   Profiler &P = Profiler::global();
   P.enable();
   for (int I = 0; I < 3; ++I) {
-    CWS_PHASE("outer");
+    Scope Outer("test", "outer");
     burn(200);
     {
-      CWS_PHASE("inner");
+      Scope Inner("test", "inner");
       burn(200);
     }
   }
@@ -93,9 +93,9 @@ TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
   Profiler &P = Profiler::global();
   P.enable();
   {
-    CWS_PHASE("closed");
+    Scope Done("test", "closed");
   }
-  PhaseScope Open("still.open");
+  Scope Open("test", "still.open");
   std::vector<PhaseStats> S = P.snapshot();
   const PhaseStats *Closed = find(S, "closed");
   ASSERT_NE(Closed, nullptr);
@@ -109,8 +109,8 @@ TEST_F(ProfilerTest, DisabledPathRecordsNothing) {
   Profiler &P = Profiler::global();
   ASSERT_FALSE(P.enabled());
   for (int I = 0; I < 1000; ++I) {
-    CWS_PHASE("ghost");
-    PhaseScope S("ghost.child");
+    Scope Ghost("test", "ghost");
+    Scope S("test", "ghost.child");
     S.work("units", 5);
     P.addWork("ghost", "units", 7);
   }
@@ -127,8 +127,8 @@ TEST_F(ProfilerTest, CrossThreadMergeIsDeterministic) {
   for (int T = 0; T < Threads; ++T)
     Pool.emplace_back([&P] {
       for (int I = 0; I < Reps; ++I) {
-        CWS_PHASE("worker.lane");
-        PhaseScope S("worker.lane.child");
+        Scope Lane("test", "worker.lane");
+        Scope S("test", "worker.lane.child");
         S.work("units", 2);
         P.addWork("worker.lane", "attached", 3);
       }
@@ -156,7 +156,7 @@ TEST_F(ProfilerTest, AddWorkWithoutOpenScopeLandsInMergedPhase) {
   Profiler &P = Profiler::global();
   P.enable();
   {
-    CWS_PHASE("caller.side");
+    Scope Caller("test", "caller.side");
   }
   // A worker lane attaches work to a phase it never opened.
   std::thread([&P] { P.addWork("caller.side", "fanout", 11); }).join();
@@ -183,8 +183,8 @@ TEST_F(ProfilerTest, JsonRoundTrip) {
   P.setProvenance(Prov);
   P.enable();
   {
-    CWS_PHASE("round.trip");
-    PhaseScope S("round.trip.child");
+    Scope Parent("test", "round.trip");
+    Scope S("test", "round.trip.child");
     S.work("labels", 123);
   }
   P.disable();
@@ -217,8 +217,8 @@ TEST_F(ProfilerTest, PublishesPhaseMetrics) {
   Profiler &P = Profiler::global();
   P.enable();
   {
-    CWS_PHASE("pub.phase");
-    PhaseScope S("pub.phase");
+    Scope Outer("test", "pub.phase");
+    Scope S("test", "pub.phase");
     S.work("units", 4);
   }
   P.disable();
@@ -229,6 +229,10 @@ TEST_F(ProfilerTest, PublishesPhaseMetrics) {
   EXPECT_NE(Prom.find("cws_phase_count"), std::string::npos);
   EXPECT_NE(Prom.find("cws_phase_total_us"), std::string::npos);
   EXPECT_NE(Prom.find("cws_phase_self_us"), std::string::npos);
+  EXPECT_NE(Prom.find("cws_phase_p50_us{phase=\"pub.phase\"}"),
+            std::string::npos);
+  EXPECT_NE(Prom.find("cws_phase_p99_us{phase=\"pub.phase\"}"),
+            std::string::npos);
   EXPECT_NE(Prom.find("cws_phase_work"), std::string::npos);
   EXPECT_NE(Prom.find("pub.phase"), std::string::npos);
 }
@@ -238,7 +242,7 @@ TEST_F(ProfilerTest, ChromeTraceFragment) {
   EXPECT_EQ(P.chromeTraceEvents(), "");
   P.enable();
   {
-    CWS_PHASE("trace.me");
+    Scope Traced("test", "trace.me");
   }
   P.disable();
   std::string Fragment = P.chromeTraceEvents();

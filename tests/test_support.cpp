@@ -80,6 +80,46 @@ TEST(Flags, NoArgsKeepsDefaults) {
   EXPECT_EQ(Jobs, 42);
 }
 
+/// Parses one `--name=value` argument against an int flag `jobs` and a
+/// real flag `rate`; malformed values exit the process.
+static void parseOne(const char *Arg) {
+  int64_t Jobs = 0;
+  double Rate = 0.0;
+  Flags F;
+  F.addInt("jobs", &Jobs, "job count");
+  F.addReal("rate", &Rate, "rate");
+  const char *Argv[] = {"prog", Arg};
+  F.parse(2, const_cast<char **>(Argv));
+}
+
+TEST(FlagsDeathTest, RejectsMalformedIntegers) {
+  for (const char *Arg : {"--jobs=abc", "--jobs=12x", "--jobs=",
+                          "--jobs=1.5", "--jobs=99999999999999999999"})
+    EXPECT_EXIT(parseOne(Arg), ::testing::ExitedWithCode(2),
+                "flag '--jobs' takes an integer")
+        << Arg;
+}
+
+TEST(FlagsDeathTest, RejectsMalformedReals) {
+  for (const char *Arg : {"--rate=abc", "--rate=0.5x", "--rate=",
+                          "--rate=1e999"})
+    EXPECT_EXIT(parseOne(Arg), ::testing::ExitedWithCode(2),
+                "flag '--rate' takes a number")
+        << Arg;
+}
+
+TEST(Flags, AcceptsWholeNumbers) {
+  int64_t Jobs = 0;
+  double Rate = 0.0;
+  Flags F;
+  F.addInt("jobs", &Jobs, "job count");
+  F.addReal("rate", &Rate, "rate");
+  const char *Argv[] = {"prog", "--jobs=-3", "--rate", "2e-1"};
+  EXPECT_TRUE(F.parse(4, const_cast<char **>(Argv)));
+  EXPECT_EQ(Jobs, -3);
+  EXPECT_DOUBLE_EQ(Rate, 0.2);
+}
+
 TEST(Flags, LaterFlagWins) {
   int64_t Jobs = 0;
   Flags F;

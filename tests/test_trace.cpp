@@ -1,15 +1,26 @@
-//===-- tests/test_trace.cpp - Span tracer tests --------------------------===//
+//===-- tests/test_trace.cpp - Span tracer and scope tests ----------------===//
 //
 // Part of CWS, a reproduction of Toporkov, "Application-Level and Job-Flow
 // Scheduling" (PaCT 2009). Distributed without any warranty.
 //
 //===----------------------------------------------------------------------===//
+//
+// The ring-buffer tracer and the one instrumentation scope that feeds
+// it: each sink alone, sinks switched on mid-scope, End-event args, the
+// Chrome JSON export, and the property that the profile and the trace
+// of one run count the same scopes.
+//
+//===----------------------------------------------------------------------===//
 
+#include "flow/VirtualOrganization.h"
+#include "obs/Profiler.h"
 #include "obs/Trace.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,132 +30,50 @@ using namespace cws::obs;
 
 namespace {
 
-/// Minimal JSON syntax checker: accepts a value, rejects trailing
-/// garbage. Enough to prove the exporter never emits malformed output.
-class JsonChecker {
-public:
-  explicit JsonChecker(const std::string &S) : S(S) {}
-
-  bool valid() {
-    Pos = 0;
-    if (!value())
-      return false;
-    skipWs();
-    return Pos == S.size();
-  }
-
-private:
-  const std::string &S;
-  size_t Pos = 0;
-
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t' ||
-                              S[Pos] == '\n' || S[Pos] == '\r'))
-      ++Pos;
-  }
-  bool consume(char C) {
-    skipWs();
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-  bool string() {
-    skipWs();
-    if (Pos >= S.size() || S[Pos] != '"')
-      return false;
-    ++Pos;
-    while (Pos < S.size() && S[Pos] != '"') {
-      if (S[Pos] == '\\') {
-        ++Pos;
-        if (Pos >= S.size())
-          return false;
-      }
-      ++Pos;
-    }
-    if (Pos >= S.size())
-      return false;
-    ++Pos;
-    return true;
-  }
-  bool number() {
-    skipWs();
-    size_t Start = Pos;
-    if (Pos < S.size() && (S[Pos] == '-' || S[Pos] == '+'))
-      ++Pos;
-    while (Pos < S.size() &&
-           ((S[Pos] >= '0' && S[Pos] <= '9') || S[Pos] == '.' ||
-            S[Pos] == 'e' || S[Pos] == 'E' || S[Pos] == '-' ||
-            S[Pos] == '+'))
-      ++Pos;
-    return Pos > Start;
-  }
-  bool value() {
-    skipWs();
-    if (Pos >= S.size())
-      return false;
-    char C = S[Pos];
-    if (C == '{')
-      return object();
-    if (C == '[')
-      return array();
-    if (C == '"')
-      return string();
-    return number();
-  }
-  bool object() {
-    if (!consume('{'))
-      return false;
-    if (consume('}'))
-      return true;
-    do {
-      if (!string() || !consume(':') || !value())
-        return false;
-    } while (consume(','));
-    return consume('}');
-  }
-  bool array() {
-    if (!consume('['))
-      return false;
-    if (consume(']'))
-      return true;
-    do {
-      if (!value())
-        return false;
-    } while (consume(','));
-    return consume(']');
-  }
-};
+/// True when \p Text is one RFC 8259 JSON value.
+bool validJson(const std::string &Text) {
+  json::Value V;
+  std::string Error;
+  return json::parse(Text, V, Error);
+}
 
 class TraceTest : public ::testing::Test {
 protected:
-  void SetUp() override { Tracer::global().reset(); }
-  void TearDown() override { Tracer::global().reset(); }
+  void SetUp() override {
+    Tracer::global().reset();
+    Profiler::global().reset();
+  }
+  void TearDown() override {
+    Tracer::global().reset();
+    Profiler::global().reset();
+  }
 };
 
 TEST_F(TraceTest, DisabledRecordsNothing) {
   Tracer &T = Tracer::global();
   EXPECT_FALSE(T.enabled());
   {
-    Span S("test", "outer");
+    Scope S("test", "outer");
+    S.work("units", 1);
     T.instant("test", "tick");
   }
   EXPECT_EQ(T.recorded(), 0u);
   EXPECT_TRUE(T.snapshot().empty());
+  EXPECT_TRUE(Profiler::global().snapshot().empty());
 }
 
-TEST_F(TraceTest, SpanNestingProducesMatchedBeginEnd) {
+TEST_F(TraceTest, TracerOnlyScopesRecordMatchedBeginEndAndNoPhase) {
   Tracer &T = Tracer::global();
   T.enable(64);
   {
-    Span Outer("test", "outer");
+    Scope Outer("test", "outer");
     {
-      Span Inner("test", "inner");
+      Scope Inner("test", "inner");
       T.instant("test", "mark");
     }
   }
   T.disable();
+  EXPECT_TRUE(Profiler::global().snapshot().empty());
   std::vector<TraceEvent> E = T.snapshot();
   ASSERT_EQ(E.size(), 5u);
   EXPECT_EQ(E[0].Phase, TracePhase::Begin);
@@ -157,6 +86,7 @@ TEST_F(TraceTest, SpanNestingProducesMatchedBeginEnd) {
   EXPECT_STREQ(E[3].Name, "inner");
   EXPECT_EQ(E[4].Phase, TracePhase::End);
   EXPECT_STREQ(E[4].Name, "outer");
+  EXPECT_STREQ(E[4].Category, "test");
   // Timestamps never run backwards and sequence numbers are dense.
   for (size_t I = 1; I < E.size(); ++I) {
     EXPECT_GE(E[I].TsMicros, E[I - 1].TsMicros);
@@ -164,12 +94,62 @@ TEST_F(TraceTest, SpanNestingProducesMatchedBeginEnd) {
   }
 }
 
-TEST_F(TraceTest, SpanArgsTravelWithTheEndEvent) {
+TEST_F(TraceTest, ProfilerOnlyScopesAccumulateAPhaseAndNoEvents) {
+  Profiler &P = Profiler::global();
+  P.enable();
+  {
+    Scope S("test", "phase.only", "input", 7);
+    S.work("units", 3);
+  }
+  P.disable();
+  EXPECT_EQ(Tracer::global().recorded(), 0u);
+  std::vector<PhaseStats> Phases = P.snapshot();
+  ASSERT_EQ(Phases.size(), 1u);
+  EXPECT_EQ(Phases[0].Name, "phase.only");
+  EXPECT_EQ(Phases[0].Count, 1u);
+  ASSERT_NE(Phases[0].work("units"), nullptr);
+  EXPECT_EQ(*Phases[0].work("units"), 3u);
+}
+
+TEST_F(TraceTest, SinksEnabledMidScopeSeeNothingOfIt) {
+  Tracer &T = Tracer::global();
+  Profiler &P = Profiler::global();
+  {
+    Scope Before("test", "before");
+    T.enable(16);
+    P.enable();
+    Before.work("units", 1);
+    Before.arg("late", 1);
+  }
+  // Neither sink was on when the scope opened: no unmatched End, no
+  // partial phase.
+  EXPECT_EQ(T.recorded(), 0u);
+  EXPECT_TRUE(P.snapshot().empty());
+
+  // The tracer alone was on at open: a full Begin/End pair, and still
+  // no phase from the profiler switched on inside.
+  P.disable();
+  {
+    Scope Traced("test", "traced");
+    P.enable();
+  }
+  T.disable();
+  P.disable();
+  std::vector<TraceEvent> E = T.snapshot();
+  ASSERT_EQ(E.size(), 2u);
+  EXPECT_EQ(E[0].Phase, TracePhase::Begin);
+  EXPECT_EQ(E[1].Phase, TracePhase::End);
+  EXPECT_TRUE(P.snapshot().empty());
+}
+
+TEST_F(TraceTest, ScopeArgsTravelWithTheEndEvent) {
   Tracer &T = Tracer::global();
   T.enable(16);
   {
-    Span S("test", "work", "input", 7);
+    Scope S("test", "work", "input", 7);
     S.arg("output", 42);
+    // A third arg overwrites the second slot.
+    S.arg("final", 9);
   }
   T.disable();
   std::vector<TraceEvent> E = T.snapshot();
@@ -178,8 +158,33 @@ TEST_F(TraceTest, SpanArgsTravelWithTheEndEvent) {
   ASSERT_EQ(E[1].ArgCount, 2u);
   EXPECT_STREQ(E[1].Args[0].Key, "input");
   EXPECT_EQ(E[1].Args[0].Value, 7);
-  EXPECT_STREQ(E[1].Args[1].Key, "output");
-  EXPECT_EQ(E[1].Args[1].Value, 42);
+  EXPECT_STREQ(E[1].Args[1].Key, "final");
+  EXPECT_EQ(E[1].Args[1].Value, 9);
+}
+
+TEST_F(TraceTest, ProfileAndTraceOfAVoRunCountTheSameScopes) {
+  Tracer &T = Tracer::global();
+  Profiler &P = Profiler::global();
+  T.enable(1 << 17);
+  P.enable();
+  VoConfig Config;
+  Config.JobCount = 8;
+  runVirtualOrganization(Config, StrategyKind::S1, /*Seed=*/3);
+  T.disable();
+  P.disable();
+  ASSERT_EQ(T.dropped(), 0u) << "ring too small for the run";
+
+  std::map<std::string, uint64_t> Begins;
+  for (const TraceEvent &E : T.snapshot())
+    if (E.Phase == TracePhase::Begin)
+      ++Begins[E.Name];
+  std::map<std::string, uint64_t> Counts;
+  for (const PhaseStats &S : P.snapshot())
+    Counts[S.Name] = S.Count;
+  EXPECT_TRUE(Counts.count("strategy.build"));
+  EXPECT_TRUE(Counts.count("chain.dp"));
+  EXPECT_TRUE(Counts.count("sim.run"));
+  EXPECT_EQ(Counts, Begins);
 }
 
 TEST_F(TraceTest, RingWraparoundKeepsTheNewestEvents) {
@@ -204,14 +209,14 @@ TEST_F(TraceTest, ChromeJsonIsStructurallyValid) {
   Tracer &T = Tracer::global();
   T.enable(64);
   {
-    Span S("core", "scheduleJob", "tasks", 5);
+    Scope S("core", "scheduleJob", "tasks", 5);
     T.instant("flow", "job.commit", "variant", 2);
   }
   // A name needing escaping must not break the output.
   T.instant("test", "weird \"name\"\n");
   T.disable();
   std::string Json = T.chromeJson();
-  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
+  EXPECT_TRUE(validJson(Json)) << Json;
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(Json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(Json.find("\"ph\":\"E\""), std::string::npos);
@@ -221,7 +226,7 @@ TEST_F(TraceTest, ChromeJsonIsStructurallyValid) {
 
 TEST_F(TraceTest, EmptyTracerStillExportsValidJson) {
   std::string Json = Tracer::global().chromeJson();
-  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
+  EXPECT_TRUE(validJson(Json)) << Json;
 }
 
 TEST_F(TraceTest, ConcurrentRecordingLosesNoEvents) {
@@ -235,7 +240,7 @@ TEST_F(TraceTest, ConcurrentRecordingLosesNoEvents) {
   for (size_t W = 0; W < Threads; ++W)
     Workers.emplace_back([&T] {
       for (size_t I = 0; I < PerThread; ++I) {
-        Span S("test", "worker");
+        Scope S("test", "worker");
         T.instant("test", "tick");
       }
     });
@@ -245,7 +250,7 @@ TEST_F(TraceTest, ConcurrentRecordingLosesNoEvents) {
   // Each iteration records Begin + instant + End.
   EXPECT_EQ(T.recorded(), Threads * PerThread * 3);
   EXPECT_EQ(T.snapshot().size(), Threads * PerThread * 3);
-  EXPECT_TRUE(JsonChecker(T.chromeJson()).valid());
+  EXPECT_TRUE(validJson(T.chromeJson()));
 }
 
 TEST_F(TraceTest, CategoryFilterMasksUnlistedCategories) {

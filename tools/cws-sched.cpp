@@ -26,12 +26,9 @@
 #include "flow/Metascheduler.h"
 #include "lang/Parser.h"
 #include "metrics/Export.h"
-#include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/Provenance.h"
 #include "obs/TimeSeries.h"
-#include "obs/Trace.h"
 #include "resource/Network.h"
 #include "support/Flags.h"
 #include "support/Table.h"
@@ -51,11 +48,7 @@ int main(int Argc, char **Argv) {
   int64_t Dot = 0;
   int64_t UseFig2Grid = 0;
   int64_t BuildThreads = 0;
-  std::string TraceFile;
-  std::string TraceCategories;
-  std::string MetricsFile;
-  std::string JournalFile;
-  std::string TimeSeriesFile;
+  ObsArtifacts Obs;
   Flags F;
   F.addString("file", &File, "job description file ('-' for stdin)");
   F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1");
@@ -68,37 +61,12 @@ int main(int Argc, char **Argv) {
   F.addInt("build-threads", &BuildThreads,
            "worker lanes for the strategy build (0 = hardware concurrency / "
            "CWS_BUILD_THREADS, 1 = serial)");
-  F.addString("trace", &TraceFile,
-              "write a Chrome trace-event JSON timeline of the build");
-  F.addString("trace-categories", &TraceCategories,
-              "record only these trace categories, comma-separated "
-              "(e.g. core; empty = all)");
-  F.addString("metrics", &MetricsFile,
-              "write a metrics snapshot (Prometheus text, CSV if *.csv)");
-  F.addString("journal", &JournalFile,
-              "write the per-job decision journal as JSONL "
-              "(inspect with cws-explain)");
-  F.addString("timeseries", &TimeSeriesFile,
-              "write the telemetry frames of the build (tidy CSV, JSONL "
-              "if *.jsonl)");
-  std::string ProfileFile;
-  F.addString("profile", &ProfileFile,
-              "write the phase profile (where wall time and work went) "
-              "as JSON; inspect with cws-report --profile");
+  Obs.addFlags(F);
   if (!F.parse(Argc, Argv))
     return 0;
-  if (!TraceFile.empty()) {
-    obs::Tracer::global().setCategoryFilter(TraceCategories);
-    obs::Tracer::global().enable();
-  }
-  if (!JournalFile.empty())
-    obs::Journal::global().enable();
-  if (!ProfileFile.empty())
-    obs::Profiler::global().enable();
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries::global().enable();
+  Obs.enable();
+  if (!Obs.TimeSeries.empty())
     obs::TimeSeries::global().addDefaultProbes(obs::Registry::global());
-  }
 
   if (File.empty()) {
     std::fprintf(stderr, "cws-sched: --file is required (try --help)\n");
@@ -157,9 +125,7 @@ int main(int Argc, char **Argv) {
       " now=" + std::to_string(Now) + "\n" + Text);
   Prov.ScenarioId = "single";
   Prov.Cli = obs::cliStringOf(Argc, Argv);
-  obs::Journal::global().setProvenance(Prov);
-  obs::TimeSeries::global().setProvenance(Prov);
-  obs::Profiler::global().setProvenance(Prov);
+  Obs.stamp(Prov);
 
   Network Net;
   // The description's busy load is held by owner 1, so the job plans
@@ -169,57 +135,10 @@ int main(int Argc, char **Argv) {
 
   // A one-shot build has no simulator clock driving periodic frames;
   // record a single post-build frame so the probes still export.
-  std::string TsExtra;
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries &Ts = obs::TimeSeries::global();
-    Ts.sampleEvent(Now, "build");
-    Ts.disable();
-    TsExtra = Ts.chromeTraceEvents();
-  }
-  if (!ProfileFile.empty()) {
-    obs::Profiler &P = obs::Profiler::global();
-    P.disable();
-    std::string PhaseExtra = P.chromeTraceEvents();
-    if (!PhaseExtra.empty())
-      TsExtra += (TsExtra.empty() ? "" : ",") + PhaseExtra;
-    if (!P.writeJson(ProfileFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write profile '%s'\n",
-                   ProfileFile.c_str());
-      return 2;
-    }
-    publishProfilerStats(P, obs::Registry::global());
-  }
-
-  if (!TraceFile.empty()) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().writeJson(TraceFile, TsExtra)) {
-      std::fprintf(stderr, "cws-sched: cannot write trace '%s'\n",
-                   TraceFile.c_str());
-      return 2;
-    }
-  }
-  if (!JournalFile.empty()) {
-    obs::Journal::global().disable();
-    if (!obs::Journal::global().writeJsonl(JournalFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write journal '%s'\n",
-                   JournalFile.c_str());
-      return 2;
-    }
-  }
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries &Ts = obs::TimeSeries::global();
-    if (!Ts.writeFile(TimeSeriesFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write time series '%s'\n",
-                   TimeSeriesFile.c_str());
-      return 2;
-    }
-    publishTimeSeriesStats(obs::Registry::global());
-  }
-  if (!MetricsFile.empty() && !writeMetricsSnapshot(MetricsFile)) {
-    std::fprintf(stderr, "cws-sched: cannot write metrics '%s'\n",
-                 MetricsFile.c_str());
+  if (!Obs.TimeSeries.empty())
+    obs::TimeSeries::global().sampleEvent(Now, "build");
+  if (!Obs.write("cws-sched"))
     return 2;
-  }
 
   if (Csv) {
     std::cout << strategyCsv(S);
