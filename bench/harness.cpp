@@ -7,6 +7,7 @@
 
 #include "harness.h"
 #include "flow/VirtualOrganization.h"
+#include "obs/Diff.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
 #include "support/Flags.h"
@@ -16,7 +17,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -429,43 +429,6 @@ const char *cws::bench::benchVerdictName(BenchVerdict V) {
   CWS_UNREACHABLE("unknown bench verdict");
 }
 
-static bool sameStats(const obs::SweepIndicatorStats &A,
-                      const obs::SweepIndicatorStats &B) {
-  return A.N == B.N && A.Mean == B.Mean && A.Stddev == B.Stddev &&
-         A.Ci95 == B.Ci95 && A.P50 == B.P50 && A.P90 == B.P90 &&
-         A.P99 == B.P99 && A.Min == B.Min && A.Max == B.Max;
-}
-
-/// The sweep-mode compatibility tests of obs/Diff: means must have
-/// overlapping 95% confidence intervals, quantiles must not shift by
-/// more than Tol relative to the larger magnitude.
-static bool statsCompatible(const obs::SweepIndicatorStats &A,
-                            const obs::SweepIndicatorStats &B, double Tol,
-                            std::string &Why) {
-  if (std::fabs(A.Mean - B.Mean) > A.Ci95 + B.Ci95) {
-    Why = "mean " + obs::renderNumber(A.Mean) + " -> " +
-          obs::renderNumber(B.Mean) + " outside CI overlap (" +
-          obs::renderNumber(A.Ci95) + " + " + obs::renderNumber(B.Ci95) + ")";
-    return false;
-  }
-  struct Q {
-    const char *Name;
-    double A, B;
-  } Quantiles[] = {{"p50", A.P50, B.P50},
-                   {"p90", A.P90, B.P90},
-                   {"p99", A.P99, B.P99}};
-  for (const Q &Qu : Quantiles) {
-    double Scale = std::max(std::fabs(Qu.A), std::fabs(Qu.B));
-    if (std::fabs(Qu.A - Qu.B) > Tol * Scale) {
-      Why = std::string(Qu.Name) + " " + obs::renderNumber(Qu.A) + " -> " +
-            obs::renderNumber(Qu.B) + " shifts more than " +
-            obs::renderNumber(Tol * 100) + "%";
-      return false;
-    }
-  }
-  return true;
-}
-
 BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
                                             const ParsedBench &New,
                                             double QuantileShiftTol) {
@@ -537,11 +500,11 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
       MetricsMoved = true;
       continue;
     }
-    if (sameStats(M.second, It->second))
+    if (obs::statsIdentical(M.second, It->second))
       continue;
     MetricsMoved = true;
     std::string Why;
-    if (!statsCompatible(M.second, It->second, QuantileShiftTol, Why))
+    if (!obs::statsCompatible(M.second, It->second, QuantileShiftTol, &Why))
       R.Advisory.push_back("metric " + M.first + ": " + Why);
   }
   for (const auto &M : New.Metrics)

@@ -8,8 +8,9 @@
 /// \file
 /// Section 5's open question made measurable: how does the *local*
 /// queue-management policy of the node managers interact with the QoS
-/// of the *global* compound-job flows? Background local jobs are routed
-/// through per-domain LocalManagers under two policies (aggressive gap
+/// of the *global* compound-job flows? Background local jobs are booked
+/// by one queue per domain straight onto the node calendars the
+/// metascheduler plans against, under two disciplines (aggressive gap
 /// filling versus strict FCFS) and two queue-depth limits. The result
 /// is a control experiment: with a shared reservation calendar the
 /// discipline barely matters — see the finding printed at the end.
@@ -17,16 +18,65 @@
 //===----------------------------------------------------------------------===//
 
 #include "flow/BackgroundLoad.h"
-#include "flow/LocalManager.h"
+#include "flow/Domain.h"
 #include "flow/Metascheduler.h"
 #include "job/Generator.h"
+#include "support/Check.h"
 #include "support/Flags.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <iostream>
+#include <limits>
 
 using namespace cws;
+
+namespace {
+
+/// The local queue of one domain: its users' single-node jobs book the
+/// domain node with the earliest start directly on the shared grid.
+struct LocalQueue {
+  const Domain &D;
+  /// Strict FCFS: a job never starts before the job submitted before it
+  /// (no jumping into earlier gaps). Otherwise every job takes the
+  /// earliest gap at once (EASY-backfill-like for single-node jobs).
+  bool StrictFcfs;
+  /// A job whose earliest start lies further than this beyond its
+  /// submission is rejected ("queue full").
+  Tick MaxLookahead;
+  Tick QueueFront = 0;
+  size_t Placed = 0;
+  size_t Rejected = 0;
+  double TotalWait = 0.0;
+
+  void submit(Grid &Env, Tick Now, Tick Dur) {
+    Tick NotBefore = StrictFcfs ? std::max(Now, QueueFront) : Now;
+    // Ties go to the first node in the domain order.
+    unsigned BestNode = 0;
+    Tick BestStart = std::numeric_limits<Tick>::max();
+    for (unsigned NodeId : D.NodeIds) {
+      Tick Start = Env.node(NodeId).timeline().earliestFit(NotBefore, Dur);
+      if (Start < BestStart) {
+        BestStart = Start;
+        BestNode = NodeId;
+      }
+    }
+    if (BestStart - Now > MaxLookahead) {
+      ++Rejected;
+      return;
+    }
+    bool Ok = Env.node(BestNode).timeline().reserve(BestStart, BestStart + Dur,
+                                                    BackgroundOwner);
+    CWS_CHECK(Ok, "earliestFit returned an occupied slot");
+    if (StrictFcfs)
+      QueueFront = std::max(QueueFront, BestStart);
+    ++Placed;
+    TotalWait += static_cast<double>(BestStart - Now);
+  }
+};
+
+} // namespace
 
 int main(int Argc, char **Argv) {
   int64_t Jobs = 250;
@@ -45,16 +95,11 @@ int main(int Argc, char **Argv) {
            "local rejected %"});
 
   struct Setup {
-    LocalQueuePolicy Policy;
+    bool StrictFcfs;
     Tick Lookahead;
   };
-  const Setup Setups[] = {
-      {LocalQueuePolicy::Immediate, 400},
-      {LocalQueuePolicy::StrictFcfs, 400},
-      {LocalQueuePolicy::Immediate, 60},
-      {LocalQueuePolicy::StrictFcfs, 60},
-  };
-  for (const auto &[Policy, Lookahead] : Setups) {
+  const Setup Setups[] = {{false, 400}, {true, 400}, {false, 60}, {true, 60}};
+  for (const auto &[StrictFcfs, Lookahead] : Setups) {
     // Identical world per policy.
     Prng EnvRng(static_cast<uint64_t>(Seed));
     Grid Env = Grid::makeRandom(GridConfig{}, EnvRng);
@@ -65,10 +110,9 @@ int main(int Argc, char **Argv) {
     Prng LocalRng(static_cast<uint64_t>(Seed) + 2);
 
     std::vector<Domain> Domains = partitionByGroup(Env);
-    std::vector<LocalManager> Managers;
-    Managers.reserve(Domains.size());
+    std::vector<LocalQueue> Queues;
     for (const auto &D : Domains)
-      Managers.emplace_back(Env, D, Policy, Lookahead);
+      Queues.push_back({D, StrictFcfs, Lookahead});
 
     RatioCounter Admitted;
     OnlineStats Cost;
@@ -80,13 +124,13 @@ int main(int Argc, char **Argv) {
       // builds a genuine backlog — exactly where queue policies differ
       // (a backlog pushes the FCFS front past the fragmentation gaps
       // that Immediate keeps filling).
-      for (auto &M : Managers) {
-        for (size_t K = 0; K < M.domain().NodeIds.size(); ++K)
+      for (auto &Q : Queues) {
+        for (size_t K = 0; K < Q.D.NodeIds.size(); ++K)
           if (LocalRng.bernoulli(0.25))
-            M.submitLocal(Now, LocalRng.uniformInt(4, 12), BackgroundOwner);
+            Q.submit(Env, Now, LocalRng.uniformInt(4, 12));
         if (I % 10 == 0)
-          for (size_t K = 0; K < 2 * M.domain().NodeIds.size(); ++K)
-            M.submitLocal(Now, LocalRng.uniformInt(10, 30), BackgroundOwner);
+          for (size_t K = 0; K < 2 * Q.D.NodeIds.size(); ++K)
+            Q.submit(Env, Now, LocalRng.uniformInt(10, 30));
       }
 
       Job J = Gen.next(Now);
@@ -108,10 +152,10 @@ int main(int Argc, char **Argv) {
 
     size_t Placed = 0, RejectedCount = 0;
     double Wait = 0.0;
-    for (const auto &M : Managers) {
-      Placed += M.placed();
-      RejectedCount += M.rejected();
-      Wait += M.meanLocalWait() * static_cast<double>(M.placed());
+    for (const auto &Q : Queues) {
+      Placed += Q.Placed;
+      RejectedCount += Q.Rejected;
+      Wait += Q.TotalWait;
     }
     double MeanWait = Placed ? Wait / static_cast<double>(Placed) : 0.0;
     double RejPct =
@@ -120,7 +164,7 @@ int main(int Argc, char **Argv) {
                   static_cast<double>(Placed + RejectedCount)
             : 0.0;
 
-    T.addRow({std::string(localQueuePolicyName(Policy)) + "/la=" +
+    T.addRow({std::string(StrictFcfs ? "strict-fcfs" : "immediate") + "/la=" +
                   std::to_string(Lookahead),
               Table::num(Admitted.percent(), 1),
               Table::num(Cost.mean(), 0), Table::num(Util, 1),

@@ -170,23 +170,12 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
     if (Q.TaskId >= PhaseOfTask.size() || PhaseOfTask[Q.TaskId] < 0)
       return std::nullopt;
 
-  // The variant's original allocation context: same level candidates,
-  // bias, switch penalty and front cap as the build that produced it.
-  AllocatorPolicy Alloc;
-  for (const auto &N : In.Env.nodes()) {
-    bool Allowed = In.Config.AllowedNodes.empty() ||
-                   std::find(In.Config.AllowedNodes.begin(),
-                             In.Config.AllowedNodes.end(),
-                             N.id()) != In.Config.AllowedNodes.end();
-    if (Allowed && N.relPerf() <= V.LevelPerf + 1e-9)
-      Alloc.CandidateNodes.push_back(N.id());
-  }
-  if (Alloc.CandidateNodes.empty())
+  // The variant's original allocation context: the build planned it
+  // under the same configuration.
+  SchedulerConfig SC =
+      variantSchedulerConfig(In.Config, In.Env, V.LevelPerf, V.Bias);
+  if (SC.Alloc.CandidateNodes.empty())
     return std::nullopt;
-  Alloc.Bias = V.Bias;
-  Alloc.NodeSwitchPenalty =
-      In.Config.Kind == StrategyKind::S3 ? In.Config.CoarsePenalty : 0.0;
-  Alloc.MaxFrontSize = In.Config.MaxFrontSize;
 
   // One repair attempt: pin every placement of a kept work in the
   // distribution, then re-run the chain DP for the works in \p Rerun so
@@ -205,10 +194,9 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
       ++Pinned;
     }
 
-    DataPolicy Policy(strategyDataPolicy(In.Config.Kind), In.Net,
-                      In.Config.DataConfig);
-    CostModel Cost(In.Env, In.Config.Costs);
-    ChainAllocator Allocator(Scheduled, In.Env, Policy, Cost, Alloc);
+    DataPolicy Policy(SC.DataKind, In.Net, SC.DataConfig);
+    CostModel Cost(In.Env, SC.Costs);
+    ChainAllocator Allocator(Scheduled, In.Env, Policy, Cost, SC.Alloc);
     Tick Release = std::max(In.Now, Scheduled.release());
 
     ScheduleResult Out;

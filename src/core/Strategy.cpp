@@ -69,6 +69,30 @@ static std::vector<double> quantizeLevels(std::vector<double> Levels,
   return Picked;
 }
 
+/// True when \p Config lets the strategy use node \p NodeId.
+static bool isAllowed(const StrategyConfig &Config, unsigned NodeId) {
+  return Config.AllowedNodes.empty() ||
+         std::find(Config.AllowedNodes.begin(), Config.AllowedNodes.end(),
+                   NodeId) != Config.AllowedNodes.end();
+}
+
+SchedulerConfig cws::variantSchedulerConfig(const StrategyConfig &Config,
+                                            const Grid &Env, double LevelPerf,
+                                            OptimizationBias Bias) {
+  SchedulerConfig SC;
+  SC.DataKind = strategyDataPolicy(Config.Kind);
+  SC.DataConfig = Config.DataConfig;
+  SC.Costs = Config.Costs;
+  for (const auto &N : Env.nodes())
+    if (isAllowed(Config, N.id()) && N.relPerf() <= LevelPerf + 1e-9)
+      SC.Alloc.CandidateNodes.push_back(N.id());
+  SC.Alloc.Bias = Bias;
+  SC.Alloc.NodeSwitchPenalty =
+      Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
+  SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
+  return SC;
+}
+
 /// True when both distributions place every task identically.
 static bool sameDistribution(const Distribution &A, const Distribution &B) {
   if (A.size() != B.size())
@@ -101,14 +125,9 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     S.Scheduled = J;
   }
   // Restrict to the allowed node set (a domain), when given.
-  auto IsAllowed = [&Config](unsigned NodeId) {
-    return Config.AllowedNodes.empty() ||
-           std::find(Config.AllowedNodes.begin(), Config.AllowedNodes.end(),
-                     NodeId) != Config.AllowedNodes.end();
-  };
   std::vector<double> NodePerfs;
   for (const auto &N : Env.nodes())
-    if (IsAllowed(N.id()))
+    if (isAllowed(Config, N.id()))
       NodePerfs.push_back(N.relPerf());
   CWS_CHECK(!NodePerfs.empty(), "no allowed nodes in the environment");
   std::sort(NodePerfs.begin(), NodePerfs.end(), std::greater<double>());
@@ -133,38 +152,24 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
   // of *independent* supporting schedules, one per environment event.
   struct VariantTask {
     size_t Level;
-    OptimizationBias Bias;
-    std::vector<unsigned> Candidates;
+    SchedulerConfig SC;
   };
   std::vector<VariantTask> Tasks;
-  for (size_t Level : Covered) {
-    // The variant for level L covers the event "every node faster than L
-    // is taken": it may only use nodes at or below that performance.
-    std::vector<unsigned> Candidates;
-    for (const auto &N : Env.nodes())
-      if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9)
-        Candidates.push_back(N.id());
-    if (Candidates.empty())
-      continue;
+  for (size_t Level : Covered)
     for (OptimizationBias Bias :
-         {OptimizationBias::Cost, OptimizationBias::Time})
-      Tasks.push_back({Level, Bias, Candidates});
-  }
+         {OptimizationBias::Cost, OptimizationBias::Time}) {
+      SchedulerConfig SC =
+          variantSchedulerConfig(Config, Env, S.Levels[Level], Bias);
+      if (SC.Alloc.CandidateNodes.empty())
+        break;
+      Tasks.push_back({Level, std::move(SC)});
+    }
 
   std::vector<ScheduleVariant> Built(Tasks.size());
   auto BuildOne = [&](size_t I) {
     const VariantTask &T = Tasks[I];
-    SchedulerConfig SC;
-    SC.DataKind = strategyDataPolicy(Config.Kind);
-    SC.DataConfig = Config.DataConfig;
-    SC.Costs = Config.Costs;
-    SC.Alloc.CandidateNodes = T.Candidates;
-    SC.Alloc.Bias = T.Bias;
-    SC.Alloc.NodeSwitchPenalty =
-        Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
-    SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
-    Built[I] = {T.Level, S.Levels[T.Level], T.Bias,
-                scheduleJob(S.Scheduled, Env, Net, SC, Owner, Now)};
+    Built[I] = {T.Level, S.Levels[T.Level], T.SC.Alloc.Bias,
+                scheduleJob(S.Scheduled, Env, Net, T.SC, Owner, Now)};
   };
 
   size_t Lanes = Config.BuildThreads > 0 ? Config.BuildThreads

@@ -78,6 +78,17 @@ struct StrategyConfig {
   std::vector<unsigned> AllowedNodes;
 };
 
+/// The scheduler configuration of the supporting schedule for the
+/// estimation level of relative performance \p LevelPerf under \p Bias:
+/// the allowed nodes of \p Env at or below that performance (the event
+/// "every faster node is taken") as candidates, plus the strategy
+/// type's data policy, costs, switch penalty and front cap. The build
+/// and the stage-2 repair both plan a variant under it. The candidate
+/// list is empty when no allowed node lies at or below the level.
+SchedulerConfig variantSchedulerConfig(const StrategyConfig &Config,
+                                       const Grid &Env, double LevelPerf,
+                                       OptimizationBias Bias);
+
 /// One supporting schedule of a strategy.
 struct ScheduleVariant {
   /// Estimation level this variant covers (index into levels()).

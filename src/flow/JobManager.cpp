@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 using namespace cws;
 
@@ -82,7 +83,7 @@ struct EnvMetrics {
       "indexed slots intersected by changed ranges");
   obs::Counter &IndexPlacements = obs::Registry::global().counter(
       "cws_env_index_placements_total",
-      "placements re-validated by the slot-index intersection pass");
+      "hit slots re-validated by the slot-index intersection pass");
   obs::Gauge &IndexSlots = obs::Registry::global().gauge(
       "cws_env_index_slots",
       "reserved slots currently indexed across open strategies");
@@ -492,13 +493,14 @@ void JobManager::onEnvironmentChange(Tick Now) {
   EnvChangeLog *Log = Meta.envChangeLog();
   if (Mode == InvalidationMode::Index && Log) {
     // Event-driven pass: drain the ranges added since the last check
-    // and re-validate only the (job, variant) slots they intersect. A
-    // strategy is built against the environment it sees, so a feasible
-    // variant can only break when a *later* reservation overlaps one
-    // of its placements — and every such reservation is in the log
+    // and re-validate only the slots they intersect. A strategy is
+    // built against the environment it sees, so a feasible variant can
+    // only break when a *later* reservation overlaps one of its
+    // placements — and every such reservation is in the log
     // (background placements and commits alike) while reservations are
-    // never released mid-run. An un-intersected variant therefore
-    // still fits, and a job is stale exactly when its last live
+    // never released mid-run. A slot no range hit therefore still
+    // fits, a variant is broken exactly when one of its hit slots is
+    // no longer free, and a job is stale exactly when its last live
     // variant is confirmed broken — the same verdict the full scan
     // reaches, in the same (ascending job id) order.
     std::vector<SlotRef> Hits;
@@ -508,28 +510,42 @@ void JobManager::onEnvironmentChange(Tick Now) {
     });
     if (Hits.empty())
       return;
+    auto Key = [](const SlotRef &H) {
+      return std::tie(H.JobId, H.Variant, H.NodeId, H.Begin, H.End);
+    };
     std::sort(Hits.begin(), Hits.end(),
-              [](const SlotRef &A, const SlotRef &B) {
-                return A.JobId != B.JobId ? A.JobId < B.JobId
-                                          : A.Variant < B.Variant;
+              [&Key](const SlotRef &A, const SlotRef &B) {
+                return Key(A) < Key(B);
               });
+    // Several ranges can hit the same slot; re-validate it once.
+    Hits.erase(std::unique(Hits.begin(), Hits.end(),
+                           [&Key](const SlotRef &A, const SlotRef &B) {
+                             return Key(A) == Key(B);
+                           }),
+               Hits.end());
     uint64_t Placements = 0, Candidates = 0;
     for (size_t I = 0; I < Hits.size();) {
       unsigned JobId = Hits[I].JobId;
       auto It = Active.find(JobId);
       CWS_CHECK(It != Active.end(), "slot index tracks a retired job");
       ActiveJob &A = It->second;
+      OwnerId Owner = Metascheduler::ownerOf(JobId);
       ++Candidates;
-      for (; I < Hits.size() && Hits[I].JobId == JobId; ++I) {
+      while (I < Hits.size() && Hits[I].JobId == JobId) {
         unsigned Variant = Hits[I].Variant;
-        if (I > 0 && Hits[I - 1].JobId == JobId &&
-            Hits[I - 1].Variant == Variant)
-          continue; // duplicate (several ranges hit the same variant)
-        const ScheduleVariant &V = A.S.variants()[Variant];
-        Placements += V.Result.Dist.placements().size();
-        if (V.Result.Dist.fitsGrid(Meta.grid(),
-                                   Metascheduler::ownerOf(JobId)))
-          continue; // bucket-level near miss; the variant still fits
+        bool Broken = false;
+        for (; I < Hits.size() && Hits[I].JobId == JobId &&
+               Hits[I].Variant == Variant;
+             ++I) {
+          if (Broken)
+            continue;
+          const SlotRef &H = Hits[I];
+          ++Placements;
+          Broken = !Meta.grid().node(H.NodeId).timeline().isFreeFor(
+              H.Begin, H.End, Owner);
+        }
+        if (!Broken)
+          continue;
         size_t Dropped = Index.removeVariant(JobId, Variant);
         if (Dropped)
           EM.IndexSlots.sub(static_cast<int64_t>(Dropped));

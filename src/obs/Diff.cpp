@@ -552,15 +552,55 @@ bool statEq(double X, double Y) {
   return X == Y;
 }
 
-bool statsExactlyEqual(const SweepIndicatorStats &X,
-                       const SweepIndicatorStats &Y) {
+std::string renderStat(double X) {
+  return std::isnan(X) ? std::string("n/a") : renderNumber(X);
+}
+
+} // namespace
+
+bool cws::obs::statsIdentical(const SweepIndicatorStats &X,
+                              const SweepIndicatorStats &Y) {
   return X.N == Y.N && statEq(X.Mean, Y.Mean) && statEq(X.Stddev, Y.Stddev) &&
          statEq(X.Ci95, Y.Ci95) && statEq(X.P50, Y.P50) &&
          statEq(X.P90, Y.P90) && statEq(X.P99, Y.P99) &&
          statEq(X.Min, Y.Min) && statEq(X.Max, Y.Max);
 }
 
-} // namespace
+bool cws::obs::statsCompatible(const SweepIndicatorStats &X,
+                               const SweepIndicatorStats &Y,
+                               double QuantileShiftTol, std::string *Why) {
+  auto Fail = [Why](std::string Reason) {
+    if (Why)
+      *Why = std::move(Reason);
+    return false;
+  };
+  if (X.N != Y.N)
+    return Fail("n " + std::to_string(X.N) + " -> " + std::to_string(Y.N) +
+                " changed the sample count");
+  bool MeanOk = statEq(X.Mean, Y.Mean) ||
+                (!std::isnan(X.Mean) && !std::isnan(Y.Mean) &&
+                 std::fabs(X.Mean - Y.Mean) <= X.Ci95 + Y.Ci95);
+  if (!MeanOk)
+    return Fail("mean " + renderStat(X.Mean) + " -> " + renderStat(Y.Mean) +
+                " outside CI overlap (" + renderStat(X.Ci95) + " + " +
+                renderStat(Y.Ci95) + ")");
+  struct Q {
+    const char *Name;
+    double X, Y;
+  } Quantiles[] = {
+      {"p50", X.P50, Y.P50}, {"p90", X.P90, Y.P90}, {"p99", X.P99, Y.P99}};
+  for (const Q &Qu : Quantiles) {
+    double Scale = std::max(std::fabs(Qu.X), std::fabs(Qu.Y));
+    bool QuantileOk = statEq(Qu.X, Qu.Y) ||
+                      (!std::isnan(Qu.X) && !std::isnan(Qu.Y) &&
+                       std::fabs(Qu.X - Qu.Y) <= QuantileShiftTol * Scale);
+    if (!QuantileOk)
+      return Fail(std::string(Qu.Name) + " " + renderStat(Qu.X) + " -> " +
+                  renderStat(Qu.Y) + " shifts more than " +
+                  renderNumber(QuantileShiftTol * 100) + "%");
+  }
+  return true;
+}
 
 DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
                                 const DiffOptions &Opts) {
@@ -597,37 +637,15 @@ DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
         AllCompatible = false;
         continue;
       }
-      if (statsExactlyEqual(StA, *StB))
+      if (statsIdentical(StA, *StB))
         continue;
-      // Not field-equal: statistical compatibility. Sample counts must
-      // agree (a replica-count change is never "noise"); means pass
-      // when their 95% CIs overlap; quantiles pass within the relative
-      // shift tolerance.
-      bool Compatible = StA.N == StB->N;
-      if (Compatible && !statEq(StA.Mean, StB->Mean))
-        Compatible = !std::isnan(StA.Mean) && !std::isnan(StB->Mean) &&
-                     std::fabs(StA.Mean - StB->Mean) <= StA.Ci95 + StB->Ci95;
-      auto QuantileOk = [&](double X, double Y) {
-        if (statEq(X, Y))
-          return true;
-        if (std::isnan(X) || std::isnan(Y))
-          return false;
-        double Scale = std::max(std::fabs(X), std::fabs(Y));
-        return std::fabs(X - Y) <= Opts.QuantileShiftTol * Scale;
-      };
-      if (Compatible)
-        Compatible = QuantileOk(StA.P50, StB->P50) &&
-                     QuantileOk(StA.P90, StB->P90) &&
-                     QuantileOk(StA.P99, StB->P99);
+      bool Compatible = statsCompatible(StA, *StB, Opts.QuantileShiftTol);
       if (!Compatible)
         AllCompatible = false;
       auto Render = [](const SweepIndicatorStats &S) {
-        auto Num = [](double X) {
-          return std::isnan(X) ? std::string("n/a") : renderNumber(X);
-        };
-        return "n=" + std::to_string(S.N) + " mean=" + Num(S.Mean) +
-               "±" + Num(S.Ci95) + " p50=" + Num(S.P50) + " p90=" +
-               Num(S.P90) + " p99=" + Num(S.P99);
+        return "n=" + std::to_string(S.N) + " mean=" + renderStat(S.Mean) +
+               "±" + renderStat(S.Ci95) + " p50=" + renderStat(S.P50) +
+               " p90=" + renderStat(S.P90) + " p99=" + renderStat(S.P99);
       };
       F.add(Where + (Compatible ? " (compatible)" : " (regressed)"),
             Render(StA), Render(*StB));

@@ -207,8 +207,23 @@ DiffResult diffTimeSeries(const ParsedTimeSeries &A,
                           const ParsedTimeSeries &B,
                           const DiffOptions &Opts = DiffOptions());
 
-/// Sweep mode: scenario/indicator alignment, exact check, then the
-/// CI-overlap + quantile-shift compatibility tests.
+/// Sweep mode's exact check: every pooled statistic field-equal, with
+/// n/a (NaN) equal only to n/a.
+bool statsIdentical(const SweepIndicatorStats &A,
+                    const SweepIndicatorStats &B);
+
+/// Sweep mode's statistical compatibility of two pooled statistics:
+/// sample counts agree (a replica-count change is never "noise"), means
+/// pass when their 95% CIs overlap, and p50/p90/p99 pass when they
+/// shift by at most \p QuantileShiftTol relative to the larger
+/// magnitude; n/a is compatible only with n/a. On failure \p Why, when
+/// given, names the first failing test.
+bool statsCompatible(const SweepIndicatorStats &A,
+                     const SweepIndicatorStats &B, double QuantileShiftTol,
+                     std::string *Why = nullptr);
+
+/// Sweep mode: scenario/indicator alignment, then statsIdentical and
+/// statsCompatible per indicator.
 DiffResult diffSweeps(const SweepStore &A, const SweepStore &B,
                       const DiffOptions &Opts = DiffOptions());
 

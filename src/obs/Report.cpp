@@ -530,7 +530,7 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
     Row("index candidates re-validated",
         renderNumber(Get("env_index_candidates")));
   if (Ind.count("env_index_placements"))
-    Row("placements re-validated (index)",
+    Row("hit slots re-validated (index)",
         renderNumber(Get("env_index_placements")));
   Out += "\n";
 

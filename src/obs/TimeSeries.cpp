@@ -129,7 +129,7 @@ void TimeSeries::addDefaultProbes(Registry &R) {
   Delta("env_index_candidates", "cws_env_index_candidates_total",
         "jobs whose indexed slots intersected a changed range");
   Delta("env_index_placements", "cws_env_index_placements_total",
-        "placements re-validated by the slot-index intersection pass");
+        "hit slots re-validated by the slot-index intersection pass");
   Delta("sim_events", "cws_sim_events_total",
         "simulation events dispatched");
   Gauge &Depth = R.gauge("cws_sim_queue_depth",

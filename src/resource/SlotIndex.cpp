@@ -19,14 +19,9 @@ cws::collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
   std::vector<BrokenSlot> Broken;
   for (size_t I = 0; I < Slots.size(); ++I) {
     const PlannedSlot &S = Slots[I];
-    for (const Interval &Busy : G.node(S.NodeId).timeline().intervals()) {
-      if (Busy.Owner == Ignore)
-        continue;
-      if (Busy.Begin < S.End && S.Begin < Busy.End) {
-        Broken.push_back({I, Busy.Begin, Busy.End});
-        break;
-      }
-    }
+    if (const Interval *Busy =
+            G.node(S.NodeId).timeline().firstOverlap(S.Begin, S.End, Ignore))
+      Broken.push_back({I, Busy->Begin, Busy->End});
   }
   return Broken;
 }
@@ -116,7 +111,7 @@ size_t SlotIndex::collect(unsigned NodeId, Tick Begin, Tick End,
       // so every intersecting slot is reported exactly once.
       if (std::max(S.Begin, Begin) / Bucket != B)
         continue;
-      Out.push_back({S.JobId, S.Variant});
+      Out.push_back({S.JobId, S.Variant, NodeId, S.Begin, S.End});
       ++Hits;
     }
   }

@@ -113,18 +113,23 @@ private:
   size_t Next = 0;
 };
 
-/// What an intersection query reports: one (job, variant) whose slot a
-/// changed range overlaps.
+/// What an intersection query reports: one (job, variant) slot that a
+/// changed range overlaps, with the slot itself so the caller can
+/// re-validate just that reservation.
 struct SlotRef {
   unsigned JobId = 0;
   unsigned Variant = 0;
+  unsigned NodeId = 0;
+  Tick Begin = 0, End = 0;
 };
 
 /// Bucketed per-node interval index over the reserved slots of open
 /// strategies: `(node, [begin, end)) -> (job, variant)`. A slot
-/// spanning several buckets is listed in each, so `collect` may report
-/// one (job, variant) multiple times — callers dedupe (the query
-/// result is order-insensitive; sort before use for determinism).
+/// spanning several buckets is listed in each, but one query reports it
+/// once. A variant with several hit slots, or a slot hit by several
+/// queries, appears once per hit — callers group by (job, variant)
+/// (the query result is order-insensitive; sort before use for
+/// determinism).
 class SlotIndex {
 public:
   /// \p BucketTicks trades memory for query width: background jobs and
@@ -147,9 +152,8 @@ public:
   /// True while \p JobId has at least one indexed slot.
   bool tracks(unsigned JobId) const;
 
-  /// Appends the (job, variant) pairs whose slots intersect
-  /// [Begin, End) on \p NodeId to \p Out (with possible duplicates,
-  /// see above). Returns the number of intersecting slot entries.
+  /// Appends every slot intersecting [Begin, End) on \p NodeId to
+  /// \p Out, once each. Returns the number of slots appended.
   size_t collect(unsigned NodeId, Tick Begin, Tick End,
                  std::vector<SlotRef> &Out) const;
 

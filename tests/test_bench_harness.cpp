@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,22 @@ TEST(BenchCompareTest, SmallWobbleInsideCiIsCompatibleWithoutFindings) {
   EXPECT_EQ(R.Verdict, BenchVerdict::Compatible);
   EXPECT_TRUE(R.Gated.empty());
   EXPECT_TRUE(R.Advisory.empty());
+}
+
+TEST(BenchCompareTest, MetricsFollowTheSweepDiffRules) {
+  ParsedBench Base = baselineBench();
+  // n/a on both sides is the same statistic, not a move.
+  Base.Metrics["wall_us"].P99 = std::nan("");
+  BenchCompareResult R = compareBench(Base, Base);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Identical);
+
+  // A changed sample count is never noise, even with equal statistics.
+  ParsedBench New = Base;
+  New.Metrics["wall_us"].N = 5;
+  R = compareBench(Base, New);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Compatible);
+  ASSERT_EQ(R.Advisory.size(), 1u);
+  EXPECT_EQ(R.Advisory[0], "metric wall_us: n 3 -> 5 changed the sample count");
 }
 
 TEST(BenchCompareTest, WorkCounterChangeRegresses) {

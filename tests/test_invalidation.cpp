@@ -94,12 +94,21 @@ TEST(SlotIndex, AddCollectRemoveRoundTrip) {
   // [12, 18) on node 0 overlaps both jobs' slots there.
   EXPECT_EQ(Idx.collect(0, 12, 18, Hits), 2u);
   EXPECT_EQ(sortedHits(Hits), (HitList{{1, 0}, {2, 0}}));
+  // Each hit carries the slot it hit, for per-slot re-validation.
+  for (const SlotRef &H : Hits) {
+    EXPECT_EQ(H.NodeId, 0u);
+    EXPECT_EQ(H.Begin, H.JobId == 1 ? 10 : 15);
+    EXPECT_EQ(H.End, H.JobId == 1 ? 20 : 25);
+  }
 
   // Same window on node 2 touches only job 1's other variant — and
   // only when the times intersect.
   Hits.clear();
   EXPECT_EQ(Idx.collect(2, 35, 50, Hits), 1u);
   EXPECT_EQ(sortedHits(Hits), (HitList{{1, 1}}));
+  EXPECT_EQ(Hits[0].NodeId, 2u);
+  EXPECT_EQ(Hits[0].Begin, 30);
+  EXPECT_EQ(Hits[0].End, 40);
   Hits.clear();
   EXPECT_EQ(Idx.collect(2, 40, 50, Hits), 0u); // [begin, end) abuts only
   EXPECT_EQ(Idx.collect(1, 0, 100, Hits), 0u); // untouched node
@@ -161,6 +170,41 @@ TEST(SlotIndex, EmptyIntervalsAreIgnored) {
   EXPECT_FALSE(Idx.tracks(1));
   std::vector<SlotRef> Hits;
   EXPECT_EQ(Idx.collect(0, 0, 100, Hits), 0u);
+}
+
+TEST(CollectBrokenSlots, ReportsFirstForeignIntervalPastLongHistory) {
+  Grid Env = makeSmallGrid();
+  constexpr OwnerId Self = 42, Foreign = 9;
+  Timeline &Line = Env.node(1).timeline();
+  // A long history before the slots, none of it overlapping them.
+  for (Tick T = 0; T < 200; T += 2)
+    ASSERT_TRUE(Line.reserve(T, T + 1, Foreign));
+  // Inside [300, 320): the job's own interval first, then a foreign one.
+  ASSERT_TRUE(Line.reserve(302, 306, Self));
+  ASSERT_TRUE(Line.reserve(310, 315, Foreign));
+  // A foreign interval that starts before [400, 410) and reaches into it.
+  ASSERT_TRUE(Line.reserve(395, 402, Foreign));
+
+  std::vector<PlannedSlot> Slots = {
+      {1, 300, 320}, // broken by [310, 315), not by the own [302, 306)
+      {1, 250, 300}, // free: the history ends at 199
+      {1, 400, 410}, // broken by [395, 402)
+      {2, 300, 320}, // another node, free
+  };
+  std::vector<BrokenSlot> Broken = collectBrokenSlots(Env, Slots, Self);
+  ASSERT_EQ(Broken.size(), 2u);
+  EXPECT_EQ(Broken[0].SlotIdx, 0u);
+  EXPECT_EQ(Broken[0].BusyStart, 310);
+  EXPECT_EQ(Broken[0].BusyEnd, 315);
+  EXPECT_EQ(Broken[1].SlotIdx, 2u);
+  EXPECT_EQ(Broken[1].BusyStart, 395);
+  EXPECT_EQ(Broken[1].BusyEnd, 402);
+
+  // Without an owner to ignore, the own interval is the first overlap.
+  Broken = collectBrokenSlots(Env, {{1, 300, 320}}, /*Ignore=*/0);
+  ASSERT_EQ(Broken.size(), 1u);
+  EXPECT_EQ(Broken[0].BusyStart, 302);
+  EXPECT_EQ(Broken[0].BusyEnd, 306);
 }
 
 //===----------------------------------------------------------------------===//
@@ -301,6 +345,8 @@ TEST_F(InvalidationTest, IndexRevalidatesFarFewerPlacementsThanScan) {
       R.counter("cws_env_index_placements_total");
   obs::Counter &IndexCandidates =
       R.counter("cws_env_index_candidates_total");
+  obs::Counter &IndexIntersections =
+      R.counter("cws_env_index_intersections_total");
 
   uint64_t ScanBase = ScanPlacements.value();
   journaledVoRun(InvalidationMode::Scan, /*Seed=*/7, /*BuildThreads=*/1);
@@ -308,9 +354,11 @@ TEST_F(InvalidationTest, IndexRevalidatesFarFewerPlacementsThanScan) {
 
   uint64_t IndexBase = IndexPlacements.value();
   uint64_t CandidatesBase = IndexCandidates.value();
+  uint64_t IntersectionsBase = IndexIntersections.value();
   uint64_t ScanDuringIndex = ScanPlacements.value();
   journaledVoRun(InvalidationMode::Index, /*Seed=*/7, /*BuildThreads=*/1);
   uint64_t IndexCost = IndexPlacements.value() - IndexBase;
+  uint64_t Intersections = IndexIntersections.value() - IntersectionsBase;
 
   // The index pass visits only intersected jobs; the scan re-validates
   // every open strategy on every change (the acceptance bar is >= 10x
@@ -318,6 +366,10 @@ TEST_F(InvalidationTest, IndexRevalidatesFarFewerPlacementsThanScan) {
   EXPECT_GT(ScanCost, 0u);
   EXPECT_GE(ScanCost, 10 * std::max<uint64_t>(IndexCost, 1));
   EXPECT_GT(IndexCandidates.value(), CandidatesBase);
+  // Only hit slots are re-validated, never a hit variant's other
+  // placements: at most one check per intersection.
+  EXPECT_GT(Intersections, 0u);
+  EXPECT_LE(IndexCost, Intersections);
   // And the index run never fell back to scanning.
   EXPECT_EQ(ScanPlacements.value(), ScanDuringIndex);
 }
