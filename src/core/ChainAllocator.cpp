@@ -18,7 +18,9 @@ using namespace cws;
 
 namespace {
 /// DP-internal load indicators; the spans around allocate() live in the
-/// scheduler, these count the work inside one chain placement.
+/// scheduler, these count the work inside one chain placement. Label
+/// work reaches them once per forward DP pass, not per label: their
+/// cacheline is shared by every build lane.
 struct AllocatorMetrics {
   obs::Counter &Labels = obs::Registry::global().counter(
       "cws_chain_labels_total", "Pareto labels inserted by the chain DP");
@@ -100,14 +102,10 @@ Tick ChainAllocator::placedInboundTicks(unsigned TaskId, unsigned NodeId,
   return Sum;
 }
 
-void ChainAllocator::insertLabel(LabelFront &Front, Label L) const {
+void ChainAllocator::insertLabel(LabelFront &Front, Label L) {
   ParetoInsertOutcome Outcome = paretoInsert(Front, L, Params.MaxFrontSize);
-  if (!Outcome.Inserted)
-    return;
-  AllocatorMetrics::get().Labels.add();
-  ++KeptLabels;
-  if (Outcome.EvictedForCap)
-    AllocatorMetrics::get().Evictions.add();
+  KeptLabels += Outcome.Inserted;
+  CapEvictions += Outcome.EvictedForCap;
 }
 
 namespace {
@@ -137,12 +135,29 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
   const size_t N = Cand.size();
   const OccupancyView View{G, Dist, Owner};
 
+  // Per-node invariants of one chain position (positions >= 1): they
+  // depend on (position, node) only, because the distribution and the
+  // replica memory change only in finalize. Gaps[GapBegin, GapEnd) is
+  // the node's slot list over [External, latest finish) for Dur.
+  struct NodeStep {
+    Tick Dur;
+    Tick External;
+    Tick Inbound;
+    double NodeCost;
+    size_t GapBegin;
+    size_t GapEnd;
+  };
+  std::vector<NodeStep> Steps(N);
+  std::vector<FreeGap> Gaps;
+
   // Readiness bumps discovered by the post-DP precedence verification of
   // non-adjacent intra-chain edges (see below).
   std::vector<Tick> ExtraReady(K, 0);
 
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
     // --- Forward DP over (chain position, candidate node). ---
+    const uint64_t Labels0 = KeptLabels;
+    const uint64_t Evictions0 = CapEvictions;
     std::vector<std::vector<LabelFront>> Fronts(K,
                                                 std::vector<LabelFront>(N));
 
@@ -154,6 +169,7 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
                             ExtraReady[0]);
       Tick Start = View.earliestFit(NodeId, Ready, Dur);
+      ++FitQueries;
       Tick Finish = Start + Dur;
       if (Finish > latestFinish(TaskId, NodeId, Dist, Deadline))
         continue;
@@ -164,46 +180,75 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
     }
 
     for (size_t Pos = 1; Pos < K; ++Pos) {
+      const std::vector<LabelFront> &PrevFronts = Fronts[Pos - 1];
+      if (std::all_of(PrevFronts.begin(), PrevFronts.end(),
+                      [](const LabelFront &F) { return F.empty(); }))
+        break; // Nothing reaches this position; the chain is unplaceable.
       unsigned TaskId = Chain[Pos];
       unsigned PrevTask = Chain[Pos - 1];
       Tick EdgeBase = chainEdgeBase(J, PrevTask, TaskId);
+      Gaps.clear();
+      for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+        unsigned NodeId = Cand[NodeIdx];
+        NodeStep &Step = Steps[NodeIdx];
+        Step.Dur = G.node(NodeId).execTicks(J.task(TaskId).RefTicks);
+        Step.External = std::max(externalReady(TaskId, NodeId, Dist, Release),
+                                 ExtraReady[Pos]);
+        Step.GapBegin = Gaps.size();
+        View.freeGaps(NodeId, Step.External,
+                      latestFinish(TaskId, NodeId, Dist, Deadline), Step.Dur,
+                      Gaps);
+        Step.GapEnd = Gaps.size();
+        if (Step.GapBegin == Step.GapEnd)
+          continue; // Nothing fits by the latest finish.
+        Step.Inbound =
+            placedInboundTicks(TaskId, NodeId, Dist, /*SkipPred=*/PrevTask);
+        Step.NodeCost = Cost.nodeCost(NodeId, Step.Dur);
+      }
+
       for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
-        const auto &PrevFront = Fronts[Pos - 1][PrevIdx];
+        const LabelFront &PrevFront = PrevFronts[PrevIdx];
         if (PrevFront.empty())
           continue;
         unsigned PrevNode = Cand[PrevIdx];
         for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+          const NodeStep &Step = Steps[NodeIdx];
+          if (Step.GapBegin == Step.GapEnd)
+            continue;
           unsigned NodeId = Cand[NodeIdx];
-          const ProcessorNode &Node = G.node(NodeId);
-          Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
           Tick ChainTr =
               Policy.previewTicks(PrevTask, EdgeBase, PrevNode, NodeId);
           Tick ChainBill =
               Policy.billedTicks(PrevTask, EdgeBase, PrevNode, NodeId);
-          Tick External = std::max(
-              externalReady(TaskId, NodeId, Dist, Release), ExtraReady[Pos]);
-          Tick Inbound =
-              placedInboundTicks(TaskId, NodeId, Dist, /*SkipPred=*/PrevTask);
-          Tick Lft = latestFinish(TaskId, NodeId, Dist, Deadline);
-          double StepCost = Cost.nodeCost(NodeId, Dur) +
-                            Cost.transferCost(ChainBill + Inbound) +
+          double StepCost = Step.NodeCost +
+                            Cost.transferCost(ChainBill + Step.Inbound) +
                             (NodeId != PrevNode ? Params.NodeSwitchPenalty
                                                 : 0.0);
+          // The front ascends in Finish, so Ready ascends and the fit
+          // cursor only moves forward; once it runs off the slot list no
+          // later label fits by the latest finish either.
+          size_t Gap = Step.GapBegin;
           for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
             const Label &Prev = PrevFront[LabelIdx];
-            Tick Ready = std::max(External, Prev.Finish + ChainTr);
-            Tick Start = View.earliestFit(NodeId, Ready, Dur);
-            Tick Finish = Start + Dur;
-            if (Finish > Lft)
-              continue;
+            Tick Ready = std::max(Step.External, Prev.Finish + ChainTr);
+            ++FitQueries;
+            while (Gap < Step.GapEnd && Gaps[Gap].End < Ready + Step.Dur)
+              ++Gap;
+            if (Gap == Step.GapEnd)
+              break;
+            Tick Start = std::max(Gaps[Gap].Begin, Ready);
             insertLabel(Fronts[Pos][NodeIdx],
-                        {Finish, Prev.Cost + StepCost, Start,
+                        {Start + Step.Dur, Prev.Cost + StepCost, Start,
                          static_cast<int32_t>(PrevIdx),
                          static_cast<int32_t>(LabelIdx)});
           }
         }
       }
     }
+
+    AllocatorMetrics &M = AllocatorMetrics::get();
+    M.Labels.add(KeptLabels - Labels0);
+    M.Evictions.add(CapEvictions - Evictions0);
 
     // --- Select the best terminal label per the optimization bias. ---
     int32_t BestNode = -1;

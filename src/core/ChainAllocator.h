@@ -83,10 +83,11 @@ public:
                 std::vector<CollisionRecord> &Collisions);
 
   /// Cumulative DP work of this allocator instance — Pareto labels
-  /// kept and window-violation reruns. Deltas around an `allocate`
-  /// call give that call's deterministic work (the caller attributes
-  /// them to the `chain.dp` profiler phase).
+  /// kept, label fit queries answered and window-violation reruns.
+  /// Deltas around an `allocate` call give that call's deterministic
+  /// work (the caller attributes them to the `chain.dp` profiler phase).
   uint64_t labelsKept() const { return KeptLabels; }
+  uint64_t fitQueries() const { return FitQueries; }
   uint64_t dpReruns() const { return DpReruns; }
 
 private:
@@ -122,17 +123,19 @@ private:
                           const Distribution &Dist, unsigned SkipPred) const;
 
   /// Inserts a label into a Pareto front (sorted by Finish ascending,
-  /// Cost strictly descending); drops it when dominated. Thin metrics
+  /// Cost strictly descending); drops it when dominated. Counting
   /// wrapper over `paretoInsert` (core/ParetoFront.h).
-  void insertLabel(LabelFront &Front, Label L) const;
+  void insertLabel(LabelFront &Front, Label L);
 
   const Job &J;
   const Grid &G;
   DataPolicy &Policy;
   const CostModel &Cost;
   const AllocatorPolicy &Params;
-  mutable uint64_t KeptLabels = 0;
-  mutable uint64_t DpReruns = 0;
+  uint64_t KeptLabels = 0;
+  uint64_t CapEvictions = 0;
+  uint64_t FitQueries = 0;
+  uint64_t DpReruns = 0;
 };
 
 } // namespace cws

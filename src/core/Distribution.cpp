@@ -10,6 +10,7 @@
 #include "job/Job.h"
 #include "resource/Grid.h"
 #include "support/Check.h"
+#include "support/SmallVector.h"
 
 #include <algorithm>
 
@@ -98,6 +99,47 @@ Tick OccupancyView::earliestFit(unsigned NodeId, Tick NotBefore,
       return T;
     T = Next;
   }
+}
+
+void OccupancyView::freeGaps(unsigned NodeId, Tick From, Tick To, Tick Dur,
+                             std::vector<FreeGap> &Out) const {
+  if (To - From < Dur)
+    return;
+  // The job's own placements reaching into the window, by start.
+  SmallVector<Interval, 8> Own;
+  for (const Placement &P : Dist.placements())
+    if (P.NodeId == NodeId && P.End > From && P.Start < To)
+      Own.push_back({P.Start, P.End, Owner});
+  std::sort(Own.begin(), Own.end(), [](const Interval &A, const Interval &B) {
+    return A.Begin < B.Begin;
+  });
+
+  // Merge them with the live intervals of everyone else in Begin order;
+  // FreeFrom is where the current free stretch began.
+  const Timeline &Line = G.node(NodeId).timeline();
+  const std::vector<Interval> &Live = Line.intervals();
+  size_t LiveIdx = Line.lowerBound(From);
+  size_t OwnIdx = 0;
+  Tick FreeFrom = From;
+  for (;;) {
+    while (LiveIdx < Live.size() && Live[LiveIdx].Owner == Owner)
+      ++LiveIdx;
+    const Interval *Busy;
+    if (LiveIdx < Live.size() &&
+        (OwnIdx == Own.size() || Live[LiveIdx].Begin <= Own[OwnIdx].Begin))
+      Busy = &Live[LiveIdx++];
+    else if (OwnIdx < Own.size())
+      Busy = &Own[OwnIdx++];
+    else
+      break;
+    if (Busy->Begin >= To)
+      break;
+    if (Busy->Begin - FreeFrom >= Dur)
+      Out.push_back({FreeFrom, Busy->Begin});
+    FreeFrom = std::max(FreeFrom, Busy->End);
+  }
+  if (To - FreeFrom >= Dur)
+    Out.push_back({FreeFrom, To});
 }
 
 OwnerId OccupancyView::blocker(unsigned NodeId, Tick B, Tick E) const {

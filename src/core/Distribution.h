@@ -88,6 +88,13 @@ private:
   std::vector<Placement> Places;
 };
 
+/// A free stretch [Begin, End) of one node as a job being scheduled sees
+/// it.
+struct FreeGap {
+  Tick Begin;
+  Tick End;
+};
+
 /// What a job being scheduled sees as busy on a node: the live timelines
 /// of \p G with \p Owner's own intervals counted free (a rebuild or
 /// repair replaces them), plus the job's tentative placements in
@@ -102,6 +109,15 @@ struct OccupancyView {
   /// \p NodeId: alternates the live fit with the job's own placements on
   /// that node until the start stops moving.
   Tick earliestFit(unsigned NodeId, Tick NotBefore, Tick Dur) const;
+
+  /// Appends to \p Out, ascending, the free gaps of \p NodeId clipped to
+  /// [From, To) that can hold \p Dur ticks — the slot list of one query
+  /// window. For any Ready >= From, take the first gap with End >=
+  /// Ready + Dur: max(Begin, Ready) is earliestFit(NodeId, Ready, Dur)
+  /// whenever that fit finishes by \p To, and no such gap exists
+  /// otherwise.
+  void freeGaps(unsigned NodeId, Tick From, Tick To, Tick Dur,
+                std::vector<FreeGap> &Out) const;
 
   /// Owner of the first-beginning interval overlapping [B, E) on
   /// \p NodeId, live or the job's own; 0 when the range is free.

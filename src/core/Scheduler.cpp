@@ -86,11 +86,13 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
       obs::Scope Dp("core", "chain.dp", "chain_len",
                     static_cast<int64_t>(Work.TaskIds.size()));
       uint64_t Labels0 = Allocator.labelsKept();
+      uint64_t Fits0 = Allocator.fitQueries();
       uint64_t Reruns0 = Allocator.dpReruns();
       Placed = Allocator.allocate(Work, Result.Dist, Release, J.deadline(),
                                   Owner, Result.Collisions);
       Dp.arg("placed", Placed);
       Dp.work("labels", Allocator.labelsKept() - Labels0);
+      Dp.work("fits", Allocator.fitQueries() - Fits0);
       Dp.work("dp_reruns", Allocator.dpReruns() - Reruns0);
     }
     if (Placed) {

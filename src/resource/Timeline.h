@@ -79,13 +79,13 @@ public:
   /// All busy intervals, ordered by Begin.
   const std::vector<Interval> &intervals() const { return Busy; }
 
+  /// Index into intervals() of the first interval with End > T.
+  size_t lowerBound(Tick T) const;
+
   /// Drops everything.
   void clear() { Busy.clear(); }
 
 private:
-  /// Index of the first interval with End > T.
-  size_t lowerBound(Tick T) const;
-
   std::vector<Interval> Busy;
 };
 

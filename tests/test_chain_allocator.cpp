@@ -119,8 +119,9 @@ TEST(ChainAllocator, ChainRespectsTransfers) {
   for (const auto &E : J.edges()) {
     const Placement *Src = F.Dist.find(E.Src);
     const Placement *Dst = F.Dist.find(E.Dst);
-    if (Src->NodeId != Dst->NodeId)
+    if (Src->NodeId != Dst->NodeId) {
       EXPECT_GE(Dst->Start, Src->End + E.BaseTransfer);
+    }
   }
 }
 

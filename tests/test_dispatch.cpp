@@ -205,7 +205,8 @@ TEST(Dispatch, CommitAfterDispatchReservesInTheDomain) {
   ASSERT_TRUE(D.S.admissible());
   ASSERT_TRUE(Meta.commit(J, *D.S.bestByCost(), User));
   for (const auto &N : Env.nodes())
-    if (!N.timeline().intervals().empty())
+    if (!N.timeline().intervals().empty()) {
       EXPECT_TRUE(Domains[D.DomainIdx].contains(N.id()))
           << "reservation leaked outside the domain";
+    }
 }

@@ -9,6 +9,7 @@
 #include "core/Distribution.h"
 #include "job/Job.h"
 #include "resource/Grid.h"
+#include "support/Prng.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -126,4 +127,108 @@ TEST(Distribution, CommitRollsBackOnConflict) {
   EXPECT_FALSE(D.commit(G, 42));
   // The first reservation must have been rolled back.
   EXPECT_TRUE(G.node(0).timeline().isFree(0, 5));
+}
+
+TEST(OccupancyView, FreeGapsMergeLiveAndOwnPlacements) {
+  Grid G = makeSmallGrid();
+  G.node(0).timeline().reserve(10, 20, 9);  // someone else's
+  G.node(0).timeline().reserve(30, 40, 42); // the owner's own: free
+  G.node(1).timeline().reserve(0, 100, 9);  // another node
+  Distribution D;
+  D.add({0, 0, 45, 50, 0.0}); // the job's tentative placement
+  D.add({1, 1, 60, 70, 0.0}); // on another node
+  const OccupancyView View{G, D, 42};
+
+  std::vector<FreeGap> Gaps;
+  View.freeGaps(0, 5, 60, 3, Gaps);
+  ASSERT_EQ(Gaps.size(), 3u);
+  EXPECT_EQ(Gaps[0].Begin, 5);
+  EXPECT_EQ(Gaps[0].End, 10);
+  EXPECT_EQ(Gaps[1].Begin, 20);
+  EXPECT_EQ(Gaps[1].End, 45);
+  EXPECT_EQ(Gaps[2].Begin, 50);
+  EXPECT_EQ(Gaps[2].End, 60);
+
+  // Gaps too short for the duration are left out; appending keeps what
+  // Out already holds.
+  View.freeGaps(0, 5, 60, 6, Gaps);
+  ASSERT_EQ(Gaps.size(), 5u);
+  EXPECT_EQ(Gaps[3].Begin, 20);
+  EXPECT_EQ(Gaps[4].Begin, 50);
+
+  Gaps.clear();
+  View.freeGaps(0, 50, 52, 3, Gaps); // window shorter than the duration
+  EXPECT_TRUE(Gaps.empty());
+}
+
+namespace {
+
+/// Fills \p NodeId with non-overlapping random intervals, each owned by
+/// someone else or by \p Own, and returns the end of the last one.
+Tick fillRandomTimeline(Grid &G, unsigned NodeId, OwnerId Own, Prng &Rng) {
+  Tick T = Rng.uniformInt(0, 5);
+  for (int I = 0, Count = static_cast<int>(Rng.uniformInt(0, 12)); I < Count;
+       ++I) {
+    Tick Len = Rng.uniformInt(1, 8);
+    OwnerId Holder = Rng.bernoulli(0.3) ? Own : Rng.uniformInt(1, 3);
+    EXPECT_TRUE(G.node(NodeId).timeline().reserve(T, T + Len, Holder));
+    T += Len + Rng.uniformInt(0, 6);
+  }
+  return T;
+}
+
+} // namespace
+
+TEST(OccupancyView, FreeGapCursorMatchesEarliestFit) {
+  const OwnerId Own = 42;
+  Prng Rng(0x51075);
+  for (int Round = 0; Round < 400; ++Round) {
+    Grid G = makeSmallGrid();
+    Tick Horizon = fillRandomTimeline(G, 0, Own, Rng);
+    fillRandomTimeline(G, 1, Own, Rng);
+    // The job's tentative placements: mutually disjoint, on node 0 or 1,
+    // free to cover anyone's live interval (the view takes the union).
+    Distribution D;
+    Tick T = 0;
+    for (unsigned Task = 0; Task < 6; ++Task) {
+      T += Rng.uniformInt(0, 10);
+      Tick Len = Rng.uniformInt(1, 6);
+      D.add({Task, static_cast<unsigned>(Rng.uniformInt(0, 1)), T, T + Len,
+             0.0});
+      T += Len;
+    }
+    Horizon = std::max(Horizon, D.makespan());
+    const OccupancyView View{G, D, Own};
+
+    for (int Query = 0; Query < 8; ++Query) {
+      Tick From = Rng.uniformInt(0, Horizon);
+      Tick To = From + Rng.uniformInt(0, Horizon);
+      Tick Dur = Rng.uniformInt(1, 10);
+      std::vector<FreeGap> Gaps;
+      View.freeGaps(0, From, To, Dur, Gaps);
+      for (size_t I = 0; I < Gaps.size(); ++I) {
+        EXPECT_LE(From, Gaps[I].Begin);
+        EXPECT_LE(Gaps[I].End, To);
+        EXPECT_GE(Gaps[I].End - Gaps[I].Begin, Dur);
+        if (I > 0) {
+          EXPECT_LT(Gaps[I - 1].End, Gaps[I].Begin);
+        }
+      }
+      // Walk one cursor over ascending ready times, as the chain DP does.
+      size_t Gap = 0;
+      for (Tick Ready = From; Ready <= To + 2;
+           Ready += Rng.uniformInt(0, 4)) {
+        while (Gap < Gaps.size() && Gaps[Gap].End < Ready + Dur)
+          ++Gap;
+        Tick Fit = View.earliestFit(0, Ready, Dur);
+        if (Fit + Dur <= To) {
+          ASSERT_LT(Gap, Gaps.size()) << "round " << Round;
+          EXPECT_EQ(std::max(Gaps[Gap].Begin, Ready), Fit)
+              << "round " << Round << " ready " << Ready;
+        } else {
+          EXPECT_EQ(Gap, Gaps.size()) << "round " << Round;
+        }
+      }
+    }
+  }
 }

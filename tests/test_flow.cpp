@@ -236,8 +236,9 @@ TEST(VirtualOrganization, SmallRunProducesConsistentStats) {
       EXPECT_LE(St.Completion, St.Deadline);
       EXPECT_GT(St.Cost, 0.0);
     }
-    if (St.TtlClosed)
+    if (St.TtlClosed) {
       EXPECT_GE(St.Ttl, 0);
+    }
   }
 }
 

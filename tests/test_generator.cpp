@@ -67,8 +67,9 @@ TEST_P(GeneratorSweep, JobsAreWellFormed) {
     // Connectivity: every non-source task has a predecessor.
     size_t Sources = J.sources().size();
     for (const auto &T : J.tasks())
-      if (!J.inEdges(T.Id).empty())
+      if (!J.inEdges(T.Id).empty()) {
         EXPECT_FALSE(J.inEdges(T.Id).empty());
+      }
     EXPECT_GE(Sources, 1u);
     // Deadline honours the slack formula.
     Tick Expected = static_cast<Tick>(std::ceil(

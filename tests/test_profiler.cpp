@@ -101,8 +101,9 @@ TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
   ASSERT_NE(Closed, nullptr);
   EXPECT_EQ(Closed->Count, 1u);
   const PhaseStats *StillOpen = find(S, "still.open");
-  if (StillOpen != nullptr)
+  if (StillOpen != nullptr) {
     EXPECT_EQ(StillOpen->Count, 0u);
+  }
 }
 
 TEST_F(ProfilerTest, DisabledPathRecordsNothing) {

@@ -77,8 +77,9 @@ TEST(Strategy, BestByTimeMinimizesMakespan) {
   const ScheduleVariant *Fastest = S.bestByTime();
   ASSERT_NE(Fastest, nullptr);
   for (const auto &V : S.variants())
-    if (V.feasible())
+    if (V.feasible()) {
       EXPECT_GE(V.Result.Dist.makespan(), Fastest->Result.Dist.makespan());
+    }
 }
 
 TEST(Strategy, Ms1CoversOnlyBestAndWorstLevels) {
@@ -140,8 +141,9 @@ TEST(Strategy, BestFittingRespectsCurrentLoad) {
   const Placement &P = Before->Result.Dist.placements().front();
   ASSERT_TRUE(Env.node(P.NodeId).timeline().reserve(P.Start, P.End, 7));
   const ScheduleVariant *After = S.bestFitting(Env);
-  if (After)
+  if (After) {
     EXPECT_NE(After, Before);
+  }
 }
 
 TEST(Strategy, BestFittingIgnoresOwnReservations) {
